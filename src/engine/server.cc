@@ -727,36 +727,31 @@ StatusOr<RowId> Server::InsertRow(StoredTable* table, const Row& row,
 
 Status Server::DeleteRow(StoredTable* table, RowId rid, Transaction* txn,
                          ExecStats* stats) {
-  Row before;
-  {
-    SharedLatchWait latch(table->latch(), WaitSite::kTableLatchShared);
-    before = table->heap().Get(rid);
+  RowPtr version = table->ReadVersion(rid);
+  if (version == nullptr) {
+    return Status::NotFound("rowid not live in table " + table->def().name);
   }
-  MT_RETURN_IF_ERROR(table->Delete(rid, txn));
+  MT_RETURN_IF_ERROR(table->Delete(rid, txn, version));
   if (stats != nullptr) {
     stats->local_cost +=
         CostModel::kDeleteRowCost +
         table->def().indexes.size() * CostModel::kIndexMaintRowCost;
   }
-  return MaintainViews(table->def(), LogRecordType::kDelete, before, {}, txn,
-                       stats);
+  return MaintainViews(table->def(), LogRecordType::kDelete, *version, {},
+                       txn, stats);
 }
 
-Status Server::UpdateRow(StoredTable* table, RowId rid, const Row& new_row,
-                         Transaction* txn, ExecStats* stats) {
-  Row before;
-  {
-    SharedLatchWait latch(table->latch(), WaitSite::kTableLatchShared);
-    before = table->heap().Get(rid);
-  }
-  MT_RETURN_IF_ERROR(table->Update(rid, new_row, txn));
+Status Server::UpdateRow(StoredTable* table, RowId rid, const RowPtr& version,
+                         const Row& new_row, Transaction* txn,
+                         ExecStats* stats) {
+  MT_RETURN_IF_ERROR(table->Update(rid, new_row, txn, version));
   if (stats != nullptr) {
     stats->local_cost +=
         CostModel::kUpdateRowCost +
         table->def().indexes.size() * CostModel::kIndexMaintRowCost;
   }
-  return MaintainViews(table->def(), LogRecordType::kUpdate, before, new_row,
-                       txn, stats);
+  return MaintainViews(table->def(), LogRecordType::kUpdate, *version,
+                       new_row, txn, stats);
 }
 
 namespace {
@@ -1062,14 +1057,14 @@ Status Server::ExecUpdate(const UpdateStmt& stmt, Session* session,
     status = rows.status();
   } else {
     for (RowId rid : *rows) {
-      Row old_row;
-      {
-        SharedLatchWait latch(table->latch(), WaitSite::kTableLatchShared);
-        old_row = table->heap().Get(rid);
+      RowPtr version = table->ReadVersion(rid);
+      if (version == nullptr) {
+        status = Status::NotFound("rowid not live in table " + stmt.table);
+        break;
       }
-      Row new_row = old_row;
+      Row new_row = *version;
       for (const auto& [ord, expr] : bound.sets) {
-        auto v = EvalBound(*expr, &old_row, ctx.Eval());
+        auto v = EvalBound(*expr, version.get(), ctx.Eval());
         if (!v.ok()) {
           status = v.status();
           break;
@@ -1077,7 +1072,7 @@ Status Server::ExecUpdate(const UpdateStmt& stmt, Session* session,
         new_row[ord] = v.ConsumeValue();
       }
       if (!status.ok()) break;
-      status = UpdateRow(table, rid, new_row, scope.txn, stats);
+      status = UpdateRow(table, rid, version, new_row, scope.txn, stats);
       if (!status.ok()) break;
       ++updated;
     }

@@ -262,13 +262,15 @@ class Server : public RemoteExecutor,
                     Session* session, ExecStats* stats);
 
   /// Applies one local write plus synchronous maintenance of regular
-  /// materialized views defined over the table.
+  /// materialized views defined over the table. A row another session
+  /// deleted or changed after FindMatchingRows returned its rid fails with
+  /// NotFound; UpdateRow takes the version `new_row` was computed from.
   StatusOr<RowId> InsertRow(StoredTable* table, const Row& row,
                             Transaction* txn, ExecStats* stats);
   Status DeleteRow(StoredTable* table, RowId rid, Transaction* txn,
                    ExecStats* stats);
-  Status UpdateRow(StoredTable* table, RowId rid, const Row& new_row,
-                   Transaction* txn, ExecStats* stats);
+  Status UpdateRow(StoredTable* table, RowId rid, const RowPtr& version,
+                   const Row& new_row, Transaction* txn, ExecStats* stats);
 
   Status MaintainViews(const TableDef& base, LogRecordType op,
                        const Row& before, const Row& after, Transaction* txn,

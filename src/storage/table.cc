@@ -156,9 +156,16 @@ StatusOr<RowId> StoredTable::Insert(const Row& row, Transaction* txn) {
   return rid;
 }
 
-Status StoredTable::Delete(RowId rid, Transaction* txn) {
+RowPtr StoredTable::ReadVersion(RowId rid) const {
+  SharedLatchWait latch(latch_, WaitSite::kTableLatchShared);
+  return heap_.IsLive(rid) ? heap_.GetRef(rid) : nullptr;
+}
+
+Status StoredTable::Delete(RowId rid, Transaction* txn,
+                           const RowPtr& version) {
   ExclusiveLatchWait latch(latch_, WaitSite::kTableLatchExclusive);
-  if (!heap_.IsLive(rid)) {
+  if (!heap_.IsLive(rid) ||
+      (version != nullptr && heap_.GetRef(rid) != version)) {
     return Status::NotFound("rowid not live in table " + def_->name);
   }
   Row before = heap_.Get(rid);
@@ -177,9 +184,11 @@ Status StoredTable::Delete(RowId rid, Transaction* txn) {
   return Status::Ok();
 }
 
-Status StoredTable::Update(RowId rid, const Row& new_row, Transaction* txn) {
+Status StoredTable::Update(RowId rid, const Row& new_row, Transaction* txn,
+                           const RowPtr& version) {
   ExclusiveLatchWait latch(latch_, WaitSite::kTableLatchExclusive);
-  if (!heap_.IsLive(rid)) {
+  if (!heap_.IsLive(rid) ||
+      (version != nullptr && heap_.GetRef(rid) != version)) {
     return Status::NotFound("rowid not live in table " + def_->name);
   }
   if (static_cast<int>(new_row.size()) != def_->schema.num_columns()) {

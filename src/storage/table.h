@@ -97,9 +97,19 @@ class StoredTable {
 
   // --- Logged, transactional mutations -------------------------------------
 
+  /// Delete and Update fail with NotFound when `rid` is not live. A caller
+  /// that read the row earlier passes the version it read (ReadVersion):
+  /// the call then also fails with NotFound when the slot no longer holds
+  /// that version — the row was updated, or deleted and the slot reused by
+  /// an insert, since the read.
   StatusOr<RowId> Insert(const Row& row, Transaction* txn);
-  Status Delete(RowId rid, Transaction* txn);
-  Status Update(RowId rid, const Row& new_row, Transaction* txn);
+  Status Delete(RowId rid, Transaction* txn, const RowPtr& version = nullptr);
+  Status Update(RowId rid, const Row& new_row, Transaction* txn,
+                const RowPtr& version = nullptr);
+
+  /// The live version at `rid`, read under the shared latch; null when the
+  /// slot is not live.
+  RowPtr ReadVersion(RowId rid) const;
 
   // --- Physical (unlogged) mutations, used only by transaction rollback ----
 

@@ -204,8 +204,8 @@ TEST_F(ReplicationFaultTest, CommitOrderPrefixInvariantHoldsMidFlight) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch-boundary and parallel-apply fault sites (kDistributeBatch,
-// kApplyChain, kBatchAck).
+// Batched distribution under faults: the batch-boundary and ack-window sites
+// (kDistributeBatch, kBatchAck) and crashes in the middle of a batch.
 // ---------------------------------------------------------------------------
 
 TEST_F(ReplicationFaultTest, BatchBoundaryCrashRedistributesExactlyOnce) {
@@ -231,58 +231,86 @@ TEST_F(ReplicationFaultTest, BatchBoundaryCrashRedistributesExactlyOnce) {
   ExpectConsistent();
 }
 
-TEST_F(ReplicationFaultTest, ChainCrashMidBatchKeepsWatermarkAndDedups) {
-  repl_.set_distribution_batch_size(4);
-  repl_.set_apply_dop(2);  // exercises the pooled parallel agent pass
-  // The second conflict chain crashes; the first already committed locally.
-  plan_.AddRule(FaultSite::kApplyChain, FaultAction::kCrash, 2);
-  for (int i = 1; i <= 4; ++i) InsertEast(i);
+TEST_F(ReplicationFaultTest, MidBatchCrashLeavesCacheAtACommitPrefix) {
+  // The backend commits INSERT 1, INSERT 2, UPDATE 1 as one 3-txn batch and
+  // the subscriber dies applying the third. Whatever survives the crash must
+  // be a state the backend actually had after some prefix of its commits —
+  // the cache may lag, but never show {1:u1} without row 2.
+  repl_.set_distribution_batch_size(3);
+  plan_.AddRule(FaultSite::kApplyChange, FaultAction::kCrash, 3);
+  auto rows_of = [](Server* server, const std::string& table) {
+    auto r = server->Execute("SELECT c_id, c_name FROM " + table +
+                             " ORDER BY c_id");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    std::vector<std::string> rows;
+    for (const Row& row : r->rows) {
+      rows.push_back(row[0].ToSqlLiteral() + ":" + row[1].AsString());
+    }
+    return rows;
+  };
+  InsertEast(1);
+  InsertEast(2);
+  std::vector<std::string> after_two_commits = rows_of(&backend_, "customer");
+  ASSERT_TRUE(
+      backend_.ExecuteScript("UPDATE customer SET c_name = 'u1' WHERE c_id = 1")
+          .ok());
+
   ASSERT_TRUE(repl_.RunLogReader(&backend_, nullptr).ok());
   EXPECT_EQ(repl_.RunDistributionAgent(&cache_, nullptr).code(),
             StatusCode::kUnavailable);
-  // Chain 1's txn committed and is held by the apply watermark; the batch
-  // itself stays queued (not acked).
-  EXPECT_EQ(CountCacheRows(), 1);
-  EXPECT_EQ(repl_.PendingChanges(), 4);
-  std::vector<SubscriptionInfo> subs = repl_.DescribeSubscriptions();
-  ASSERT_EQ(subs.size(), 1u);
-  EXPECT_EQ(subs[0].inflight_applied, 1);
-  EXPECT_TRUE(subs[0].applied_txns.empty()) << "acked only at batch ack";
-  ConsistencyReport invariants =
-      ConsistencyChecker(&repl_).CheckInvariants();
-  EXPECT_TRUE(invariants.ok()) << invariants.ToString();
-  // Redelivery applies only the three unapplied chains (exactly-once).
-  clock_.Advance(repl_.backoff_max());
-  ASSERT_TRUE(repl_.RunDistributionAgent(&cache_, nullptr).ok());
-  EXPECT_EQ(CountCacheRows(), 4);
-  EXPECT_EQ(repl_.metrics().txns_applied, 4);
-  EXPECT_EQ(repl_.PendingChanges(), 0);
+  EXPECT_EQ(rows_of(&cache_, "customer_east"), after_two_commits)
+      << "the cache is not the backend after a prefix of its commits";
   ExpectConsistent();
 }
 
-TEST_F(ReplicationFaultTest, DroppedChainRetriesWholeBatchWithDedup) {
-  repl_.set_distribution_batch_size(3);
-  repl_.set_apply_dop(2);
-  plan_.AddRule(FaultSite::kApplyChain, FaultAction::kDrop, 3);
-  for (int i = 1; i <= 3; ++i) InsertEast(i);
+/// Crash position k = 1..kBatchTxns inside one batch: the subscriber dies
+/// applying the k-th txn.
+constexpr int kBatchTxns = 4;
+class MidBatchCrashTest : public ReplicationFaultTest,
+                          public ::testing::WithParamInterface<int> {};
+
+TEST_P(MidBatchCrashTest, RedeliveryAppliesExactlyTheRest) {
+  const int k = GetParam();
+  repl_.set_distribution_batch_size(kBatchTxns);
+  plan_.AddRule(FaultSite::kApplyChange, FaultAction::kCrash, k);
+  for (int i = 1; i <= kBatchTxns; ++i) InsertEast(i);
   ASSERT_TRUE(repl_.RunLogReader(&backend_, nullptr).ok());
-  Status dropped = repl_.RunDistributionAgent(&cache_, nullptr);
-  EXPECT_EQ(dropped.code(), StatusCode::kUnavailable) << dropped.ToString();
-  EXPECT_EQ(repl_.metrics().deliveries_dropped, 1);
-  EXPECT_EQ(CountCacheRows(), 2);  // chains 1 and 2 committed
+  EXPECT_EQ(repl_.RunDistributionAgent(&cache_, nullptr).code(),
+            StatusCode::kUnavailable);
+  // The k-1 txns before the crash committed and are held by the watermark;
+  // the batch itself stays queued (not acked).
+  EXPECT_EQ(CountCacheRows(), k - 1);
+  EXPECT_EQ(repl_.metrics().txns_applied, k - 1);
+  EXPECT_EQ(repl_.PendingChanges(), kBatchTxns);
+  std::vector<SubscriptionInfo> subs = repl_.DescribeSubscriptions();
+  ASSERT_EQ(subs.size(), 1u);
+  EXPECT_EQ(subs[0].inflight_applied, k - 1);
+  EXPECT_TRUE(subs[0].applied_txns.empty()) << "acked only at batch ack";
+  ConsistencyReport invariants = ConsistencyChecker(&repl_).CheckInvariants();
+  EXPECT_TRUE(invariants.ok()) << invariants.ToString();
+  // Redelivery applies exactly txns k..n (exactly-once apply), and every
+  // txn of the batch counts as redelivered once.
   clock_.Advance(repl_.backoff_max());
   ASSERT_TRUE(repl_.RunDistributionAgent(&cache_, nullptr).ok());
-  EXPECT_EQ(CountCacheRows(), 3);
-  EXPECT_EQ(repl_.metrics().txns_applied, 3);
+  EXPECT_EQ(CountCacheRows(), kBatchTxns);
+  EXPECT_EQ(repl_.metrics().txns_applied, kBatchTxns);
+  EXPECT_EQ(repl_.metrics().txns_retried, kBatchTxns);
+  EXPECT_EQ(repl_.PendingChanges(), 0);
+  subs = repl_.DescribeSubscriptions();
+  EXPECT_EQ(subs[0].inflight_applied, 0);
+  EXPECT_EQ(subs[0].applied_txns.size(), static_cast<size_t>(kBatchTxns));
   ExpectConsistent();
 }
+
+INSTANTIATE_TEST_SUITE_P(CrashPosition, MidBatchCrashTest,
+                         ::testing::Range(1, kBatchTxns + 1));
 
 TEST_F(ReplicationFaultTest, AckCrashAcksViaWatermarkWithoutReapplying) {
   repl_.set_distribution_batch_size(3);
   plan_.AddRule(FaultSite::kBatchAck, FaultAction::kCrash, 1);
   for (int i = 1; i <= 3; ++i) InsertEast(i);
   ASSERT_TRUE(repl_.RunLogReader(&backend_, nullptr).ok());
-  // Every chain applies and commits; the agent dies in the ack window.
+  // Every txn applies and commits; the agent dies in the ack window.
   EXPECT_EQ(repl_.RunDistributionAgent(&cache_, nullptr).code(),
             StatusCode::kUnavailable);
   EXPECT_EQ(CountCacheRows(), 3);
@@ -454,17 +482,9 @@ TEST(ReplicationFaultDesTest, EventDrivenScheduleConverges) {
 
 class RandomizedFaultHarness {
  public:
-  static ServerOptions CacheOptions() {
-    // A real compute pool so seeds with apply_dop > 1 fan chains over actual
-    // worker threads, not the inline fallback.
-    ServerOptions opts{"cache", "dbo", {}};
-    opts.optimizer.max_dop = 4;
-    return opts;
-  }
-
   explicit RandomizedFaultHarness(uint64_t seed)
       : backend_(ServerOptions{"backend", "dbo", {}}, &clock_, &links_),
-        cache_(CacheOptions(), &clock_, &links_),
+        cache_(ServerOptions{"cache", "dbo", {}}, &clock_, &links_),
         repl_(&clock_), rng_(seed * 0x9E3779B9ULL + 1), plan_(seed + 1) {}
 
   void Setup() {
@@ -525,24 +545,17 @@ class RandomizedFaultHarness {
                         rng_.NextDouble() * 0.15);
     plan_.AddRandomRule(FaultSite::kLogReadStall, FaultAction::kDelay,
                         rng_.NextDouble() * 0.05);
-    // Group commit, parallel apply, jittered backoff, and bounded histories
-    // are part of the randomized surface: most seeds run the batched (and
-    // often parallel) pipeline, so the new fault sites at batch boundaries,
-    // chain starts, and the ack window fire under every knob combination.
+    // Group commit, jittered backoff, and bounded histories are part of the
+    // randomized surface: most seeds run the batched pipeline, so the fault
+    // sites at batch boundaries, mid-batch, and in the ack window fire under
+    // every knob combination.
     repl_.set_distribution_batch_size(
         static_cast<int>(rng_.Uniform(1, 8)));
-    repl_.set_apply_dop(static_cast<int>(rng_.Uniform(1, 4)));
     repl_.set_retry_backoff(0.05, 1.0, rng_.NextDouble() * 0.5);
     repl_.set_backoff_seed(rng_.NextU64());
     if (rng_.Bernoulli(0.5)) repl_.set_history_limit(8);
     plan_.AddRandomRule(FaultSite::kDistributeBatch, FaultAction::kCrash,
                         rng_.NextDouble() * 0.08);
-    plan_.AddRandomRule(FaultSite::kApplyChain, FaultAction::kCrash,
-                        rng_.NextDouble() * 0.08);
-    plan_.AddRandomRule(FaultSite::kApplyChain, FaultAction::kDrop,
-                        rng_.NextDouble() * 0.05);
-    plan_.AddRandomRule(FaultSite::kApplyChain, FaultAction::kDelay,
-                        rng_.NextDouble() * 0.05);
     plan_.AddRandomRule(FaultSite::kBatchAck, FaultAction::kCrash,
                         rng_.NextDouble() * 0.08);
     backend_.db().log().set_read_fault_hook(MakeLogReadStallHook(&plan_));

@@ -234,5 +234,41 @@ TEST_F(StorageTest, RowIdReuseAfterDelete) {
   EXPECT_EQ(table_->row_count(), 1);
 }
 
+TEST_F(StorageTest, StaleVersionCannotTouchAReusedSlot) {
+  // A writer reads row 1's version, then another writer deletes row 1 and an
+  // insert reuses its slot for row 2. The stale version must not delete or
+  // update row 2.
+  auto txn = txn_mgr_.Begin();
+  RowId rid = table_->Insert(MakeRow(1, "a", 1), txn.get()).ConsumeValue();
+  RowPtr stale = table_->ReadVersion(rid);
+  ASSERT_NE(stale, nullptr);
+  ASSERT_TRUE(table_->Delete(rid, txn.get(), stale).ok());
+  EXPECT_EQ(table_->ReadVersion(rid), nullptr);
+  RowId reused = table_->Insert(MakeRow(2, "b", 2), txn.get()).ConsumeValue();
+  ASSERT_EQ(reused, rid);
+  EXPECT_EQ(table_->Delete(rid, txn.get(), stale).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(table_->Update(rid, MakeRow(2, "x", 9), txn.get(), stale).code(),
+            StatusCode::kNotFound);
+  txn_mgr_.Commit(txn.get(), 0.0);
+  ASSERT_TRUE(table_->heap().IsLive(rid));
+  EXPECT_EQ(table_->heap().Get(rid), MakeRow(2, "b", 2));
+  EXPECT_EQ(table_->row_count(), 1);
+  EXPECT_EQ(table_->index(0).size(), 1);
+}
+
+TEST_F(StorageTest, StaleVersionCannotOverwriteANewerUpdate) {
+  auto txn = txn_mgr_.Begin();
+  RowId rid = table_->Insert(MakeRow(1, "a", 1), txn.get()).ConsumeValue();
+  RowPtr stale = table_->ReadVersion(rid);
+  ASSERT_TRUE(table_->Update(rid, MakeRow(1, "b", 2), txn.get(), stale).ok());
+  EXPECT_EQ(table_->Update(rid, MakeRow(1, "c", 3), txn.get(), stale).code(),
+            StatusCode::kNotFound);
+  RowPtr current = table_->ReadVersion(rid);
+  ASSERT_TRUE(table_->Update(rid, MakeRow(1, "c", 3), txn.get(), current).ok());
+  txn_mgr_.Commit(txn.get(), 0.0);
+  EXPECT_EQ(table_->heap().Get(rid), MakeRow(1, "c", 3));
+}
+
 }  // namespace
 }  // namespace mtcache
