@@ -64,16 +64,6 @@ std::string SimplePredicate::ToString() const {
   return column + " " + CompareOpSymbol(op) + " " + constant.ToSqlLiteral();
 }
 
-bool SelectProjectDef::RowMatches(const std::vector<int>& pred_col_ordinals,
-                                  const Row& row) const {
-  for (size_t i = 0; i < predicates.size(); ++i) {
-    int ord = pred_col_ordinals[i];
-    if (ord < 0 || ord >= static_cast<int>(row.size())) return false;
-    if (!predicates[i].Matches(row[ord])) return false;
-  }
-  return true;
-}
-
 std::string SelectProjectDef::ToSelectSql() const {
   std::string sql = "SELECT " + Join(columns, ", ") + " FROM " + base_table;
   if (!predicates.empty()) {

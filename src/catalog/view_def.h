@@ -40,11 +40,6 @@ struct SelectProjectDef {
   std::vector<std::string> columns;  // projected base columns, in view order
   std::vector<SimplePredicate> predicates;  // conjunction; empty = all rows
 
-  /// True if `row_columns/row` (full base-table row) satisfies all
-  /// predicates. `col_of` maps column name -> ordinal in the base row.
-  bool RowMatches(const std::vector<int>& pred_col_ordinals,
-                  const Row& row) const;
-
   /// Renders as SQL text (SELECT c1, c2 FROM t WHERE ...), used when the
   /// subscription snapshot runs through the normal query path.
   std::string ToSelectSql() const;

@@ -754,40 +754,6 @@ Status Server::UpdateRow(StoredTable* table, RowId rid, const RowPtr& version,
                        new_row, txn, stats);
 }
 
-namespace {
-
-// Locates a view row whose primary-key columns equal `key` (values in view
-// pk order). Returns -1 when absent. Holds the view's shared latch for the
-// lookup; the caller's subsequent mutation re-latches exclusively.
-RowId FindViewRowByKey(StoredTable* view, const Row& key) {
-  SharedLatchWait latch(view->latch(), WaitSite::kTableLatchShared);
-  if (!view->def().indexes.empty() && view->def().indexes[0].unique) {
-    for (auto it = view->index(0).SeekGe(key);
-         it.Valid() && BPlusTree::ComparePrefix(it.key(), key) == 0;
-         it.Next()) {
-      if (view->heap().IsLive(it.rowid())) return it.rowid();
-    }
-    return -1;
-  }
-  // Fallback: linear scan on pk columns.
-  const std::vector<int>& pk = view->def().primary_key;
-  for (RowId rid = 0; rid < view->heap().slot_count(); ++rid) {
-    if (!view->heap().IsLive(rid)) continue;
-    const Row& row = view->heap().Get(rid);
-    bool match = true;
-    for (size_t i = 0; i < pk.size(); ++i) {
-      if (row[pk[i]].Compare(key[i]) != 0) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return rid;
-  }
-  return -1;
-}
-
-}  // namespace
-
 Status Server::MaintainViews(const TableDef& base, LogRecordType op,
                              const Row& before, const Row& after,
                              Transaction* txn, ExecStats* stats) {
@@ -797,46 +763,11 @@ Status Server::MaintainViews(const TableDef& base, LogRecordType op,
     if (view_def->kind != RelationKind::kMaterializedView) continue;
     StoredTable* view = db_.GetStoredTable(view_def->name);
     if (view == nullptr) continue;
-    const SelectProjectDef& def = *view_def->view_def;
-
-    std::vector<int> pred_cols;
-    for (const SimplePredicate& pred : def.predicates) {
-      pred_cols.push_back(base.ColumnOrdinal(pred.column));
-    }
-    auto project = [&](const Row& row) {
-      Row out;
-      for (const std::string& col : def.columns) {
-        out.push_back(row[base.ColumnOrdinal(col)]);
-      }
-      return out;
-    };
-    auto key_of = [&](const Row& row) {
-      Row key;
-      for (int pk_view_ord : view_def->primary_key) {
-        int base_ord = base.ColumnOrdinal(def.columns[pk_view_ord]);
-        key.push_back(row[base_ord]);
-      }
-      return key;
-    };
+    MT_ASSIGN_OR_RETURN(BoundSelectProject bound,
+                        BoundSelectProject::Bind(*view_def->view_def, base));
     if (stats != nullptr) stats->local_cost += CostModel::kApplyRecordCost;
-
-    bool before_in = op != LogRecordType::kInsert &&
-                     def.RowMatches(pred_cols, before);
-    bool after_in = op != LogRecordType::kDelete &&
-                    def.RowMatches(pred_cols, after);
-    if (op == LogRecordType::kInsert) before_in = false;
-    if (op == LogRecordType::kDelete) after_in = false;
-
-    if (!before_in && after_in) {
-      MT_RETURN_IF_ERROR(view->Insert(project(after), txn).status());
-    } else if (before_in && !after_in) {
-      RowId rid = FindViewRowByKey(view, key_of(before));
-      if (rid >= 0) MT_RETURN_IF_ERROR(view->Delete(rid, txn));
-    } else if (before_in && after_in) {
-      RowId rid = FindViewRowByKey(view, key_of(before));
-      if (rid >= 0) {
-        MT_RETURN_IF_ERROR(view->Update(rid, project(after), txn));
-      }
+    if (std::optional<ReplChange> change = bound.Delta(op, before, after)) {
+      MT_RETURN_IF_ERROR(ApplyViewChange(view, *change, txn));
     }
   }
   return Status::Ok();
@@ -1213,10 +1144,8 @@ Status Server::ExecCreateView(const CreateViewStmt& stmt, Session* session,
   StoredTable* base_table = db_.GetStoredTable(base->name);
   StoredTable* view_table = db_.GetStoredTable(stmt.view);
   if (base_table != nullptr && view_table != nullptr) {
-    std::vector<int> pred_cols;
-    for (const SimplePredicate& pred : def.predicates) {
-      pred_cols.push_back(base->ColumnOrdinal(pred.column));
-    }
+    MT_ASSIGN_OR_RETURN(BoundSelectProject bound,
+                        BoundSelectProject::Bind(def, *base));
     TxnScope scope = BeginScope(session);
     Status status = Status::Ok();
     // Copy the matching base rows under the base table's shared latch first,
@@ -1228,12 +1157,7 @@ Status Server::ExecCreateView(const CreateViewStmt& stmt, Session* session,
         if (!base_table->heap().IsLive(rid)) continue;
         const Row& row = base_table->heap().Get(rid);
         if (stats != nullptr) stats->local_cost += CostModel::kSeqRowCost;
-        if (!def.RowMatches(pred_cols, row)) continue;
-        Row projected;
-        for (const std::string& col : def.columns) {
-          projected.push_back(row[base->ColumnOrdinal(col)]);
-        }
-        projected_rows.push_back(std::move(projected));
+        if (bound.Matches(row)) projected_rows.push_back(bound.Project(row));
       }
     }
     for (const Row& projected : projected_rows) {

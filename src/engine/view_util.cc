@@ -1,5 +1,7 @@
 #include "engine/view_util.h"
 
+#include "common/wait_stats.h"
+
 namespace mtcache {
 
 namespace {
@@ -83,21 +85,103 @@ StatusOr<SelectProjectDef> BuildSelectProjectDef(const SelectStmt& select,
     def.columns.push_back(
         static_cast<const ColumnRefExpr&>(*item.expr).column);
   }
-  for (const std::string& col : def.columns) {
-    if (base.ColumnOrdinal(col) < 0) {
-      return Status::InvalidArgument("unknown column in view: " + col);
-    }
-  }
   if (select.where != nullptr) {
     MT_RETURN_IF_ERROR(CollectPredicates(*select.where, &def));
-    for (const SimplePredicate& pred : def.predicates) {
-      if (base.ColumnOrdinal(pred.column) < 0) {
-        return Status::InvalidArgument("unknown column in view predicate: " +
-                                       pred.column);
+  }
+  MT_RETURN_IF_ERROR(BoundSelectProject::Bind(def, base).status());
+  return def;
+}
+
+StatusOr<BoundSelectProject> BoundSelectProject::Bind(
+    const SelectProjectDef& def, const TableDef& base) {
+  BoundSelectProject bound;
+  bound.def_ = &def;
+  for (const std::string& col : def.columns) {
+    int ord = base.ColumnOrdinal(col);
+    if (ord < 0) {
+      return Status::InvalidArgument("unknown column in view: " + col);
+    }
+    bound.column_ordinals_.push_back(ord);
+  }
+  for (const SimplePredicate& pred : def.predicates) {
+    int ord = base.ColumnOrdinal(pred.column);
+    if (ord < 0) {
+      return Status::InvalidArgument("unknown column in view predicate: " +
+                                     pred.column);
+    }
+    bound.predicate_ordinals_.push_back(ord);
+  }
+  return bound;
+}
+
+bool BoundSelectProject::Matches(const Row& base_row) const {
+  for (size_t i = 0; i < predicate_ordinals_.size(); ++i) {
+    if (!def_->predicates[i].Matches(base_row[predicate_ordinals_[i]])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Row BoundSelectProject::Project(const Row& base_row) const {
+  Row out;
+  out.reserve(column_ordinals_.size());
+  for (int ord : column_ordinals_) out.push_back(base_row[ord]);
+  return out;
+}
+
+std::optional<ReplChange> BoundSelectProject::Delta(LogRecordType op,
+                                                    const Row& before,
+                                                    const Row& after) const {
+  bool before_in = op != LogRecordType::kInsert && Matches(before);
+  bool after_in = op != LogRecordType::kDelete && Matches(after);
+  if (!before_in && !after_in) return std::nullopt;
+  ReplChange change;
+  change.op = !before_in  ? LogRecordType::kInsert
+              : !after_in ? LogRecordType::kDelete
+                          : LogRecordType::kUpdate;
+  if (before_in) change.before = Project(before);
+  if (after_in) change.after = Project(after);
+  return change;
+}
+
+bool HasPrimaryKeyIndex(const TableDef& def) {
+  return !def.primary_key.empty() && !def.indexes.empty() &&
+         def.indexes[0].key_columns == def.primary_key;
+}
+
+Status ApplyViewChange(StoredTable* view, const ReplChange& change,
+                       Transaction* txn) {
+  if (change.op == LogRecordType::kInsert) {
+    return view->Insert(change.after, txn).status();
+  }
+  const TableDef& def = view->def();
+  if (!HasPrimaryKeyIndex(def)) {
+    return Status::InvalidArgument("view " + def.name +
+                                   " has no primary-key index");
+  }
+  Row key = view->IndexKey(0, change.before);
+  RowId rid = -1;
+  RowPtr version;
+  {
+    // Shared latch for the lookup only: sessions may be scanning the view
+    // meanwhile, and the mutation below re-latches exclusively.
+    SharedLatchWait latch(view->latch(), WaitSite::kTableLatchShared);
+    for (auto it = view->index(0).SeekGe(key);
+         it.Valid() && BPlusTree::ComparePrefix(it.key(), key) == 0;
+         it.Next()) {
+      if (view->heap().IsLive(it.rowid())) {
+        rid = it.rowid();
+        version = view->heap().GetRef(rid);
+        break;
       }
     }
   }
-  return def;
+  if (change.op == LogRecordType::kDelete) {
+    return version == nullptr ? Status::Ok() : view->Delete(rid, txn, version);
+  }
+  if (version == nullptr) return view->Insert(change.after, txn).status();
+  return view->Update(rid, change.after, txn, version);
 }
 
 StatusOr<TableDef> MakeViewTableDef(const std::string& view_name,
@@ -114,8 +198,12 @@ StatusOr<TableDef> MakeViewTableDef(const std::string& view_name,
     info.table = view_name;
     view.schema.AddColumn(std::move(info));
   }
-  // The base primary key must be fully included: change application (from
-  // replication or synchronous maintenance) locates view rows by key.
+  // Change application (synchronous maintenance or replication) locates
+  // view rows by the base primary key, so it must exist and be projected.
+  if (base.primary_key.empty()) {
+    return Status::InvalidArgument("view base table " + base.name +
+                                   " has no primary key");
+  }
   for (int pk_col : base.primary_key) {
     const std::string& pk_name = base.schema.column(pk_col).name;
     int in_view = -1;
@@ -131,9 +219,7 @@ StatusOr<TableDef> MakeViewTableDef(const std::string& view_name,
     }
     view.primary_key.push_back(in_view);
   }
-  if (!view.primary_key.empty()) {
-    view.indexes.push_back(IndexDef{view_name + "_pk", view.primary_key, true});
-  }
+  view.indexes.push_back(IndexDef{view_name + "_pk", view.primary_key, true});
   view.stats = DeriveViewStats(base, def);
   return view;
 }

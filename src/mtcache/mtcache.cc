@@ -138,27 +138,13 @@ Status MTCache::CreateCachedView(const std::string& name,
     cache_->db().DropTable(name).ok();
     return snapshot.status();
   }
-  {
-    auto txn = cache_->db().txn_manager().Begin();
-    for (const Row& row : snapshot->rows) {
-      if (SnapshotRowCrash()) {
-        // Mid-snapshot crash: roll the copy back and drop the half-built
-        // view so the optimizer never sees a partially populated replica.
-        // Retrying CreateCachedView starts over from scratch.
-        cache_->db().txn_manager().Abort(txn.get());
-        cache_->db().DropTable(name).ok();
-        cache_->InvalidatePlanCache();
-        return Status::Unavailable("injected crash: snapshot of " + name +
-                                   " died mid-copy");
-      }
-      auto inserted = backing->Insert(row, txn.get());
-      if (!inserted.ok()) {
-        cache_->db().txn_manager().Abort(txn.get());
-        cache_->db().DropTable(name).ok();
-        return inserted.status();
-      }
-    }
-    cache_->db().txn_manager().Commit(txn.get(), cache_->db().Now());
+  Status copied = CopySnapshot(backing, snapshot->rows);
+  if (!copied.ok()) {
+    // Drop the half-built view so the optimizer never sees a partially
+    // populated replica. Retrying CreateCachedView starts over from scratch.
+    cache_->db().DropTable(name).ok();
+    cache_->InvalidatePlanCache();
+    return copied;
   }
 
   Article article;
@@ -209,43 +195,14 @@ Status MTCache::RefreshCachedView(const std::string& name) {
       QueryResult snapshot,
       backend_->Execute(def->view_def->ToSelectSql(), ParamMap{},
                         &snapshot_stats));
-  {
-    auto txn = cache_->db().txn_manager().Begin();
-    // Collect the live rids under a shared latch first; Delete takes the
-    // exclusive latch internally per row.
-    std::vector<RowId> live;
-    {
-      std::shared_lock<std::shared_mutex> latch(backing->latch());
-      for (RowId rid = 0; rid < backing->heap().slot_count(); ++rid) {
-        if (backing->heap().IsLive(rid)) live.push_back(rid);
-      }
-    }
-    for (RowId rid : live) {
-      Status status = backing->Delete(rid, txn.get());
-      if (!status.ok()) {
-        cache_->db().txn_manager().Abort(txn.get());
-        return status;
-      }
-    }
-    for (const Row& row : snapshot.rows) {
-      if (SnapshotRowCrash()) {
-        // Mid-refresh crash: the abort restores the previous contents, so
-        // no half-populated state is ever visible. The view is left
-        // unsubscribed (subscription_id == -1) and possibly stale — exactly
-        // the condition RefreshCachedView repairs — and the consistency
-        // checker flags it until the refresh is retried.
-        cache_->db().txn_manager().Abort(txn.get());
-        cache_->InvalidatePlanCache();
-        return Status::Unavailable("injected crash: resync of " + name +
-                                   " died mid-copy");
-      }
-      auto inserted = backing->Insert(row, txn.get());
-      if (!inserted.ok()) {
-        cache_->db().txn_manager().Abort(txn.get());
-        return inserted.status();
-      }
-    }
-    cache_->db().txn_manager().Commit(txn.get(), cache_->db().Now());
+  Status copied = CopySnapshot(backing, snapshot.rows);
+  if (!copied.ok()) {
+    // The previous contents are back, but the view is left unsubscribed
+    // (subscription_id == -1) and possibly stale — exactly the condition
+    // RefreshCachedView repairs — and the consistency checker flags it
+    // until the refresh is retried.
+    cache_->InvalidatePlanCache();
+    return copied;
   }
   Article article;
   article.name = name + "_article";
@@ -259,9 +216,37 @@ Status MTCache::RefreshCachedView(const std::string& name) {
   return Status::Ok();
 }
 
-bool MTCache::SnapshotRowCrash() {
-  return fault_plan_ != nullptr &&
-         fault_plan_->Decide(FaultSite::kSnapshotRow) == FaultAction::kCrash;
+Status MTCache::CopySnapshot(StoredTable* backing,
+                             const std::vector<Row>& rows) {
+  auto txn = cache_->db().txn_manager().Begin();
+  auto fail = [&](Status status) {
+    cache_->db().txn_manager().Abort(txn.get());
+    return status;
+  };
+  // Collect the live rids under a shared latch first; Delete takes the
+  // exclusive latch internally per row.
+  std::vector<RowId> live;
+  {
+    std::shared_lock<std::shared_mutex> latch(backing->latch());
+    for (RowId rid = 0; rid < backing->heap().slot_count(); ++rid) {
+      if (backing->heap().IsLive(rid)) live.push_back(rid);
+    }
+  }
+  for (RowId rid : live) {
+    Status status = backing->Delete(rid, txn.get());
+    if (!status.ok()) return fail(status);
+  }
+  for (const Row& row : rows) {
+    if (fault_plan_ != nullptr &&
+        fault_plan_->Decide(FaultSite::kSnapshotRow) == FaultAction::kCrash) {
+      return fail(Status::Unavailable("injected crash: snapshot copy into " +
+                                      backing->def().name + " died mid-copy"));
+    }
+    auto inserted = backing->Insert(row, txn.get());
+    if (!inserted.ok()) return fail(inserted.status());
+  }
+  cache_->db().txn_manager().Commit(txn.get(), cache_->db().Now());
+  return Status::Ok();
 }
 
 Status MTCache::CopyProcedure(const std::string& name) {

@@ -79,8 +79,11 @@ class MTCache {
         options_(std::move(options)) {}
 
   Status CloneCatalog();
-  /// Fires the snapshot-row fault site; true when the copy must crash.
-  bool SnapshotRowCrash();
+  /// Replaces a cached view's rows with a backend snapshot in one local
+  /// transaction. Visits FaultSite::kSnapshotRow before each copied row; on
+  /// a crash there or any error the transaction rolls back and the previous
+  /// contents stay.
+  Status CopySnapshot(StoredTable* backing, const std::vector<Row>& rows);
 
   Server* cache_;
   Server* backend_;

@@ -1,6 +1,7 @@
 #include "repl/replication.h"
 
 #include <algorithm>
+#include <optional>
 #include <shared_mutex>
 #include <utility>
 
@@ -29,14 +30,21 @@ StatusOr<int64_t> ReplicationSystem::Subscribe(Server* publisher,
     return Status::NotFound("published table not found: " +
                             article.def.base_table);
   }
-  for (const std::string& col : article.def.columns) {
-    if (base->ColumnOrdinal(col) < 0) {
-      return Status::InvalidArgument("article column not in table: " + col);
-    }
+  MT_RETURN_IF_ERROR(BoundSelectProject::Bind(article.def, *base).status());
+  // Transactional replication requires a primary key on every published
+  // table: the subscriber applies updates and deletes by key (index 0).
+  if (base->primary_key.empty()) {
+    return Status::InvalidArgument("published table " + base->name +
+                                   " has no primary key");
   }
-  if (subscriber->db().GetStoredTable(target_table) == nullptr) {
+  StoredTable* target = subscriber->db().GetStoredTable(target_table);
+  if (target == nullptr) {
     return Status::NotFound("subscription target table not found: " +
                             target_table);
+  }
+  if (!HasPrimaryKeyIndex(target->def())) {
+    return Status::InvalidArgument("subscription target table " +
+                                   target_table + " has no primary-key index");
   }
   auto sub = std::make_unique<Subscription>();
   sub->id = next_subscription_id_++;
@@ -123,6 +131,15 @@ Status ReplicationSystem::RunLogReader(Server* publisher,
   int64_t records_scanned = 0;
   int64_t changes_enqueued = 0;
   double publisher_cost = 0;
+  // The distributor's subscriptions, listed at the scan's first commit. Each
+  // binds at its first change. Nothing is kept across scans: a published
+  // table may be dropped and re-created between them.
+  struct Target {
+    Subscription* sub;
+    const TableDef* base;  // null: table missing or binding failed
+    std::optional<BoundSelectProject> bound;
+  };
+  std::optional<std::vector<Target>> targets;
 
   for (LogRecord& rec : records) {
     if (Decide(FaultSite::kLogReadRecord) == FaultAction::kCrash) {
@@ -156,55 +173,43 @@ Status ReplicationSystem::RunLogReader(Server* publisher,
                                    ? "txn " + std::to_string(rec.txn)
                                    : std::string());
         // Filter and project per subscription (the distributor's job).
-        for (auto& [id, sub] : subscriptions_) {
-          if (sub->publisher != publisher) continue;
-          const SelectProjectDef& def = sub->article.def;
-          const TableDef* base =
-              publisher->db().catalog().GetTable(def.base_table);
-          if (base == nullptr) continue;
-          std::vector<int> pred_cols;
-          for (const SimplePredicate& pred : def.predicates) {
-            pred_cols.push_back(base->ColumnOrdinal(pred.column));
+        if (!targets.has_value()) {
+          targets.emplace();
+          for (auto& [id, sub] : subscriptions_) {
+            if (sub->publisher != publisher) continue;
+            targets->push_back(
+                {sub.get(),
+                 publisher->db().catalog().GetTable(sub->article.def.base_table),
+                 std::nullopt});
           }
-          auto project = [&](const Row& row) {
-            Row out;
-            for (const std::string& col : def.columns) {
-              out.push_back(row[base->ColumnOrdinal(col)]);
-            }
-            return out;
-          };
+        }
+        for (auto& [sub, base, bound] : *targets) {
+          if (base == nullptr) continue;
           PendingTxn pending;
           pending.source_txn = rec.txn;
           pending.commit_time = rec.commit_time;
           for (const LogRecord& change : changes) {
-            if (change.table != def.base_table) continue;
+            if (change.table != sub->article.def.base_table) continue;
             // Changes predating the subscription's snapshot are already in
             // the initial copy.
             if (change.lsn < sub->start_lsn) continue;
-            bool before_in = change.type != LogRecordType::kInsert &&
-                             def.RowMatches(pred_cols, change.before);
-            bool after_in = change.type != LogRecordType::kDelete &&
-                            def.RowMatches(pred_cols, change.after);
-            ReplChange out;
-            if (!before_in && after_in) {
-              out.op = LogRecordType::kInsert;
-              out.after = project(change.after);
-            } else if (before_in && !after_in) {
-              out.op = LogRecordType::kDelete;
-              out.before = project(change.before);
-            } else if (before_in && after_in) {
-              out.op = LogRecordType::kUpdate;
-              out.before = project(change.before);
-              out.after = project(change.after);
-            } else {
-              continue;  // change entirely outside the article
+            if (!bound.has_value()) {
+              auto bound_or = BoundSelectProject::Bind(sub->article.def, *base);
+              if (!bound_or.ok()) {
+                base = nullptr;
+                break;
+              }
+              bound = bound_or.ConsumeValue();
             }
-            pending.changes.push_back(std::move(out));
+            std::optional<ReplChange> out =
+                bound->Delta(change.type, change.before, change.after);
+            if (!out.has_value()) continue;  // entirely outside the article
+            pending.changes.push_back(std::move(*out));
             ++changes_enqueued;
             publisher_cost += CostModel::kDistributeRecordCost;
           }
           if (!pending.changes.empty()) {
-            staged.emplace_back(sub.get(), std::move(pending));
+            staged.emplace_back(sub, std::move(pending));
           }
         }
         break;
@@ -284,28 +289,7 @@ Status ReplicationSystem::ApplyTxn(Subscription* sub, const PendingTxn& txn,
   }
   const TableDef& def = table->def();
 
-  // Locate a target row by primary key values extracted from an image.
-  auto key_of = [&](const Row& image) {
-    Row key;
-    for (int ord : def.primary_key) key.push_back(image[ord]);
-    return key;
-  };
-  auto find_row = [&](const Row& image) -> RowId {
-    if (def.indexes.empty() || def.primary_key.empty()) return -1;
-    Row key = key_of(image);
-    // Shared latch: sessions may be scanning the cached view while the
-    // distribution agent applies changes from the replication thread.
-    SharedLatchWait latch(table->latch(), WaitSite::kTableLatchShared);
-    for (auto it = table->index(0).SeekGe(key);
-         it.Valid() && BPlusTree::ComparePrefix(it.key(), key) == 0;
-         it.Next()) {
-      if (table->heap().IsLive(it.rowid())) return it.rowid();
-    }
-    return -1;
-  };
-
   auto local_txn = db.txn_manager().Begin();
-  Status status = Status::Ok();
   int64_t applied_changes = 0;
   for (const ReplChange& change : txn.changes) {
     if (Decide(FaultSite::kApplyChange) == FaultAction::kCrash) {
@@ -320,36 +304,12 @@ Status ReplicationSystem::ApplyTxn(Subscription* sub, const PendingTxn& txn,
       stats->local_cost += CostModel::kApplyRecordCost +
                            def.indexes.size() * CostModel::kIndexMaintRowCost;
     }
-    switch (change.op) {
-      case LogRecordType::kInsert: {
-        auto inserted = table->Insert(change.after, local_txn.get());
-        status = inserted.status();
-        break;
-      }
-      case LogRecordType::kDelete: {
-        RowId rid = find_row(change.before);
-        if (rid >= 0) status = table->Delete(rid, local_txn.get());
-        break;
-      }
-      case LogRecordType::kUpdate: {
-        RowId rid = find_row(change.before);
-        if (rid >= 0) {
-          status = table->Update(rid, change.after, local_txn.get());
-        } else {
-          auto inserted = table->Insert(change.after, local_txn.get());
-          status = inserted.status();
-        }
-        break;
-      }
-      default:
-        break;
+    Status status = ApplyViewChange(table, change, local_txn.get());
+    if (!status.ok()) {
+      db.txn_manager().Abort(local_txn.get());
+      return status;
     }
-    if (!status.ok()) break;
     ++applied_changes;
-  }
-  if (!status.ok()) {
-    db.txn_manager().Abort(local_txn.get());
-    return status;
   }
   double now = clock_ != nullptr ? clock_->Now() : 0.0;
   db.txn_manager().Commit(local_txn.get(), now);

@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "common/sim_clock.h"
 #include "engine/server.h"
+#include "engine/view_util.h"
 #include "repl/fault.h"
 
 namespace mtcache {
@@ -29,13 +30,6 @@ struct Article {
 struct Publication {
   std::string name;
   std::vector<Article> articles;
-};
-
-/// One filtered/projected change bound for a subscriber.
-struct ReplChange {
-  LogRecordType op = LogRecordType::kInsert;  // insert/delete/update
-  Row before;  // projected to article columns (delete/update)
-  Row after;   // projected to article columns (insert/update)
 };
 
 /// A committed source transaction's changes for one subscription. Changes
@@ -175,7 +169,9 @@ class ReplicationSystem {
 
   /// Creates a publication implicitly (one article) and a push subscription
   /// delivering the article's changes into `target_table` on `subscriber`.
-  /// Returns the subscription id.
+  /// Returns the subscription id. InvalidArgument when an article column is
+  /// not in the published table, when that table has no primary key, or when
+  /// the target's index 0 is not its primary key: changes apply by key.
   StatusOr<int64_t> Subscribe(Server* publisher, const Article& article,
                               Server* subscriber,
                               const std::string& target_table);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "catalog/catalog.h"
+#include "engine/view_util.h"
 
 namespace mtcache {
 namespace {
@@ -112,15 +113,24 @@ TEST(SelectProjectDefTest, ToSelectSql) {
 }
 
 TEST(SelectProjectDefTest, RowMatches) {
+  // Base columns in (b, a) order: binding resolves the predicate ordinals by
+  // name, not by position in the definition.
+  TableDef base;
+  base.name = "t";
+  base.schema = Schema({{"b", TypeId::kString, "t", true},
+                        {"a", TypeId::kInt64, "t", false}});
   SelectProjectDef def;
   def.base_table = "t";
   def.columns = {"a"};
   def.predicates = {{"a", CompareOp::kGt, Value::Int(5)},
                     {"b", CompareOp::kEq, Value::String("x")}};
-  Row row = {Value::Int(6), Value::String("x")};
-  EXPECT_TRUE(def.RowMatches({0, 1}, row));
-  Row bad = {Value::Int(6), Value::String("y")};
-  EXPECT_FALSE(def.RowMatches({0, 1}, bad));
+  auto bound = BoundSelectProject::Bind(def, base);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  Row row = {Value::String("x"), Value::Int(6)};
+  EXPECT_TRUE(bound->Matches(row));
+  Row bad = {Value::String("y"), Value::Int(6)};
+  EXPECT_FALSE(bound->Matches(bad));
+  EXPECT_EQ(bound->Project(row), (Row{Value::Int(6)}));
 }
 
 TEST(CompareOpTest, FlipSymmetry) {

@@ -285,6 +285,23 @@ TEST_F(EngineTest, MaterializedViewPopulatedAndMaintained) {
   EXPECT_EQ(r.rows[0][0].AsInt(), 19);
 }
 
+TEST_F(EngineTest, MaterializedViewOverTableWithoutPrimaryKeyRejected) {
+  // View maintenance finds view rows by the base primary key. Without one,
+  // DELETE FROM t WHERE a = 2 used to delete the first live view row.
+  Exec("CREATE TABLE t (a INT, b INT)");
+  Exec("INSERT INTO t VALUES (1, 10)");
+  Exec("INSERT INTO t VALUES (2, 20)");
+  Status s = server_.ExecuteScript(
+      "CREATE MATERIALIZED VIEW v AS SELECT a, b FROM t");
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_EQ(server_.db().catalog().GetTable("v"), nullptr);
+  // The base table is untouched and still takes DML.
+  Exec("DELETE FROM t WHERE a = 2");
+  QueryResult r = Query("SELECT a, b FROM t");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsInt(), 1);
+}
+
 TEST_F(EngineTest, ViewMatchingSubstitutesMaterializedView) {
   SetUpBasicTables();
   Exec("CREATE MATERIALIZED VIEW cheap_items AS "

@@ -1,3 +1,5 @@
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "mtcache/mtcache.h"
@@ -432,6 +434,77 @@ TEST_F(MTCacheTest, CachedViewOverBackendMaterializedView) {
   r = cache2.Execute("SELECT COUNT(*) FROM big_orders_cache WHERE total > 950");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->rows[0][0].AsInt(), 51);
+}
+
+TEST_F(MTCacheTest, CachedViewOverTableWithoutPrimaryKeyRejected) {
+  // Without a key, replication used to drop the delete of (2,20) and turn
+  // the update of a = 1 into an insert: the cache held {(1,10), (2,20),
+  // (1,99)} while the backend held {(1,99)}.
+  ASSERT_TRUE(backend_
+                  .ExecuteScript("CREATE TABLE t (a INT, b INT); "
+                                 "INSERT INTO t VALUES (1, 10); "
+                                 "INSERT INTO t VALUES (2, 20)")
+                  .ok());
+  // Fresh cache server so the shadow catalog includes t.
+  Server cache2(ServerOptions{"cache2", "dbo", {}}, &clock_, &links_);
+  auto setup = MTCache::Setup(&cache2, &backend_, &repl_);
+  ASSERT_TRUE(setup.ok()) << setup.status().ToString();
+  auto mtcache2 = setup.ConsumeValue();
+  Status s = mtcache2->CreateCachedView("v", "SELECT a, b FROM t");
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_EQ(cache2.db().catalog().GetTable("v"), nullptr);
+  EXPECT_TRUE(repl_.DescribeSubscriptions().empty());
+}
+
+TEST_F(MTCacheTest, PrimaryKeyChangingUpdatesKeepViewsEqualToBackend) {
+  // The same select-project as a backend materialized view (maintained by
+  // the base transaction) and a cached view (maintained by replication).
+  ASSERT_TRUE(backend_
+                  .ExecuteScript("CREATE MATERIALIZED VIEW cust100_mv AS "
+                                 "SELECT cid, cname FROM customer "
+                                 "WHERE cid <= 100")
+                  .ok());
+  ASSERT_TRUE(mtcache_
+                  ->CreateCachedView("cust100",
+                                     "SELECT cid, cname FROM customer "
+                                     "WHERE cid <= 100")
+                  .ok());
+  ASSERT_TRUE(backend_
+                  .ExecuteScript(
+                      // inside -> inside with a new key
+                      "DELETE FROM customer WHERE cid = 3; "
+                      "UPDATE customer SET cid = 3 WHERE cid = 4; "
+                      // outside -> inside
+                      "UPDATE customer SET cid = 4 WHERE cid = 1500; "
+                      // inside -> outside
+                      "UPDATE customer SET cid = 2500 WHERE cid = 5; "
+                      // key change of several rows in one statement
+                      "UPDATE customer SET cid = cid + 3000 "
+                      "WHERE cid >= 90 AND cid <= 95")
+                  .ok());
+  ASSERT_TRUE(repl_.RunOnce(nullptr, nullptr).ok());
+
+  auto rows_of = [](Server& server, const std::string& sql) {
+    auto r = server.Execute(sql);
+    EXPECT_TRUE(r.ok()) << r.status().ToString() << "\nSQL: " << sql;
+    std::vector<std::pair<int64_t, std::string>> out;
+    if (!r.ok()) return out;
+    for (const Row& row : r->rows) {
+      out.emplace_back(row[0].AsInt(), row[1].AsString());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  OptimizerOptions no_views = backend_.optimizer_options();
+  no_views.enable_view_matching = false;  // truth from the base table
+  backend_.set_optimizer_options(no_views);
+  auto truth =
+      rows_of(backend_, "SELECT cid, cname FROM customer WHERE cid <= 100");
+  ASSERT_EQ(truth.size(), 93u);  // 100 - 1 deleted + 1 entered - 1 left - 6
+  EXPECT_EQ(truth[2], (std::pair<int64_t, std::string>{3, "name4"}));
+  EXPECT_EQ(truth[3], (std::pair<int64_t, std::string>{4, "name1500"}));
+  EXPECT_EQ(rows_of(backend_, "SELECT cid, cname FROM cust100_mv"), truth);
+  EXPECT_EQ(rows_of(cache_, "SELECT cid, cname FROM cust100"), truth);
 }
 
 TEST_F(MTCacheTest, OverlappingViewsChosenCostBased) {

@@ -369,6 +369,34 @@ TEST_F(ReplicationTest, UnsubscribeStopsDeliveryAndDropsQueue) {
   EXPECT_EQ(repl_.Unsubscribe(sub_id_).code(), StatusCode::kNotFound);
 }
 
+TEST_F(ReplicationTest, SubscribeIntoTargetWithoutPrimaryKeyRejected) {
+  // Updates and deletes apply by primary key; a target without one used to
+  // drop deletes and turn updates into inserts.
+  ASSERT_TRUE(cache_
+                  .ExecuteScript("CREATE TABLE customer_nopk (c_id INT, "
+                                 "c_name VARCHAR(30))")
+                  .ok());
+  Article article;
+  article.name = "nopk_article";
+  article.def.base_table = "customer";
+  article.def.columns = {"c_id", "c_name"};
+  auto sub = repl_.Subscribe(&backend_, article, &cache_, "customer_nopk");
+  EXPECT_EQ(sub.status().code(), StatusCode::kInvalidArgument)
+      << sub.status().ToString();
+  // A published table without a primary key is rejected too.
+  ASSERT_TRUE(backend_.ExecuteScript("CREATE TABLE t (a INT, b INT)").ok());
+  ASSERT_TRUE(
+      cache_.ExecuteScript("CREATE TABLE t (a INT PRIMARY KEY, b INT)").ok());
+  Article keyless;
+  keyless.name = "t_article";
+  keyless.def.base_table = "t";
+  keyless.def.columns = {"a", "b"};
+  auto keyless_sub = repl_.Subscribe(&backend_, keyless, &cache_, "t");
+  EXPECT_EQ(keyless_sub.status().code(), StatusCode::kInvalidArgument)
+      << keyless_sub.status().ToString();
+  EXPECT_EQ(repl_.DescribeSubscriptions().size(), 1u);
+}
+
 TEST_F(ReplicationTest, TwoSubscribersBothReceive) {
   Server cache2(ServerOptions{"cache2", "dbo", {}}, &clock_, &links_);
   ASSERT_TRUE(cache2
