@@ -24,12 +24,10 @@
 #                             # per-slice series and per-cache workload
 #                             # sections of BENCH_exp3_tpcw.json
 #   scripts/check.sh repl     # replication-pipeline gate: the repl-labeled
-#                             # suites (batched distribution, in-order
-#                             # apply, watermark dedup, the 200-seed
-#                             # randomized fault schedules), then the exp6
-#                             # group-commit sweep in smoke mode, emitting
-#                             # BENCH_exp6_repl.json with its in-binary
-#                             # sanity gate
+#                             # suites (one stream per subscriber, in-order
+#                             # transactional apply, watermark dedup, the
+#                             # 200-seed randomized fault schedules, and
+#                             # the six-view stream sanity test)
 #   scripts/check.sh planqual # plan-quality gate: optimizer suites
 #                             # (ctest -L opt — cardinality, histogram, and
 #                             # calibration units plus the 40-query plan
@@ -69,7 +67,7 @@ case "$mode" in
       replication_fault_test mtcache_resync_test property_test \
       replication_test mtcache_test dmv_smoke
     (cd build-asan && ctest --output-on-failure -j "$(nproc)" -R \
-      'ReplicationFault|MtcacheResync|ReplicationConvergence|Replication(Test|Metrics)|MTCache')
+      'ReplicationFault|MtcacheResync|ReplicationConvergence|Replication(Test|Metrics|Stream)|MTCache')
     # The DMV walk under ASan: catches lifetime bugs in the virtual-table
     # row materialization that the plain build would miss.
     ./build-asan/examples/dmv_smoke
@@ -182,29 +180,16 @@ case "$mode" in
     cmake --preset default
     cmake --build --preset default -j "$(nproc)" --target \
       replication_test replication_fault_test mtcache_resync_test \
-      exp6_repl_latency
-    # The replication suites: group-commit batching, in-order apply with
-    # the crash-safe per-batch apply watermark at every crash position,
-    # jittered-backoff determinism, bounded history, and the 200-seed
-    # randomized fault schedules with batching enabled.
+      mtcache_test property_test
+    # The replication suites: one stream per (publisher, subscriber), each
+    # source txn applied as one local txn in commit order, the crash-safe
+    # apply watermark at every crash position, jittered-backoff determinism,
+    # bounded history, and the 200-seed randomized fault schedules.
     (cd build && ctest --output-on-failure -j "$(nproc)" -L repl)
-    # The group-commit sweep in smoke mode. The binary is its own gate:
-    # every committed txn applied + ConsistencyChecker clean in every cell.
-    # The best batched speed relative to serial is recorded, not gated.
-    ./build/bench/exp6_repl_latency --smoke --out build/BENCH_exp6_repl.json
-    [ -s build/BENCH_exp6_repl.json ] || {
-      echo "repl: BENCH_exp6_repl.json missing or empty" >&2
-      exit 1
-    }
-    for key in '"hw_cores"' '"runs"' '"gates"' '"sanity_gate"' \
-               '"speedup_at_top_rate"' '"min_drain_seconds"' '"lag_p99"' \
-               '"avg_batch_size"'; do
-      grep -q "$key" build/BENCH_exp6_repl.json || {
-        echo "repl: BENCH_exp6_repl.json lacks $key" >&2
-        exit 1
-      }
-    done
-    echo "repl: sweep artifact with gates at build/BENCH_exp6_repl.json"
+    # The sanity gate: six views on one cache under a seeded insert/update/
+    # delete mix with multi-table txns — every source txn that touched a
+    # view applied exactly once, and ConsistencyChecker clean.
+    (cd build && ctest --output-on-failure -R 'ReplicationStreamTest')
     ;;
   planqual)
     cmake --preset default

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <set>
 #include <shared_mutex>
 
 namespace mtcache {
@@ -128,47 +129,48 @@ ConsistencyReport ConsistencyChecker::Check() const {
 
 ConsistencyReport ConsistencyChecker::CheckInvariants() const {
   ConsistencyReport report;
+  std::set<int64_t> checked_streams;
   for (const SubscriptionInfo& sub : repl_->DescribeSubscriptions()) {
+    // Every article on a stream reports the same stream state.
+    if (!checked_streams.insert(sub.stream_id).second) continue;
+    const std::string stream = "stream " + std::to_string(sub.stream_id);
     if (sub.applied_txns.size() > sub.enqueued_txns.size()) {
       report.violations.push_back(
-          "subscription " + std::to_string(sub.id) + " applied " +
-          std::to_string(sub.applied_txns.size()) + " txns but only " +
-          std::to_string(sub.enqueued_txns.size()) + " were distributed");
+          stream + " applied " + std::to_string(sub.applied_txns.size()) +
+          " txns but only " + std::to_string(sub.enqueued_txns.size()) +
+          " were distributed");
       continue;
     }
     for (size_t i = 0; i < sub.applied_txns.size(); ++i) {
       if (sub.applied_txns[i] != sub.enqueued_txns[i]) {
         report.violations.push_back(
-            "subscription " + std::to_string(sub.id) +
-            " applied txns are not a prefix of commit order at position " +
-            std::to_string(i) + ": applied " +
+            stream + " applied txns are not a prefix of commit order at "
+            "position " + std::to_string(i) + ": applied " +
             std::to_string(sub.applied_txns[i]) + ", distributed " +
             std::to_string(sub.enqueued_txns[i]));
         break;
       }
     }
-    // The queue must hold exactly the distributed-but-unacked suffix. Txns
-    // applied ahead of their batch's ack (a crash mid-batch or in the ack
-    // window) stay queued and are counted by the in-flight watermark
-    // instead of applied history, so the identity is exact — no slack
-    // window. Histories may be trimmed,
+    // The queue must hold exactly the distributed-but-unacked suffix. A txn
+    // committed locally ahead of its ack (a crash in the ack window) stays
+    // queued and is marked by the watermark instead of the applied history,
+    // so the identity is exact — no slack window. Histories may be trimmed,
     // but both lose the same settled prefix, so the size difference is
     // unaffected.
     int64_t outstanding = static_cast<int64_t>(sub.enqueued_txns.size()) -
                           static_cast<int64_t>(sub.applied_txns.size());
     if (sub.queued_txns != outstanding) {
       report.violations.push_back(
-          "subscription " + std::to_string(sub.id) + " queue holds " +
-          std::to_string(sub.queued_txns) + " txns, expected exactly " +
-          std::to_string(outstanding));
+          stream + " queue holds " + std::to_string(sub.queued_txns) +
+          " txns, expected exactly " + std::to_string(outstanding));
     }
-    // The crash-safe apply watermark only ever covers queued (unacked) txns.
-    if (sub.inflight_applied > sub.queued_txns) {
+    // The watermark marks at most the front txn, and only a queued one.
+    if (sub.inflight_applied > std::min<int64_t>(sub.queued_txns, 1)) {
       report.violations.push_back(
-          "subscription " + std::to_string(sub.id) + " watermark marks " +
+          stream + " watermark marks " +
           std::to_string(sub.inflight_applied) +
-          " applied-but-unacked txns but only " +
-          std::to_string(sub.queued_txns) + " are queued");
+          " applied-but-unacked txns with " +
+          std::to_string(sub.queued_txns) + " queued");
     }
   }
   return report;

@@ -28,20 +28,20 @@ struct ConsistencyReport {
 
 /// Recomputes ground truth and diffs it against the caches. Two invariant
 /// families:
-///   1. Row-level: for every subscription, the target table's contents equal
-///      the article's select-project recomputed against the publisher's base
-///      table (meaningful only when the pipeline is quiesced — see
-///      DrainPipeline). The row diff is reported row by row.
-///   2. Ordering: the transactions ACKED at each subscriber are a prefix of
-///      the transactions distributed to it, in commit order — holds at ALL
-///      times, faults or not, so it is checked mid-flight too. Batched
-///      distribution keeps this invariant because the applied history is
-///      recorded at batch-ack time in commit order;
-///      txns locally committed ahead of their batch's ack are accounted by
-///      the in-flight watermark (SubscriptionInfo::inflight_applied), which
-///      must never exceed the queued txn count. Bounded histories
-///      (set_history_limit) trim the same settled prefix from both sides,
-///      so the prefix check runs unchanged on the retained suffixes.
+///   1. Row-level: for every subscription (article), the target table's
+///      contents equal the article's select-project recomputed against the
+///      publisher's base table (meaningful only when the pipeline is
+///      quiesced — see DrainPipeline). The row diff is reported row by row.
+///   2. Ordering, once per stream (one per publisher/subscriber pair): the
+///      transactions ACKED at the subscriber are a prefix of the
+///      transactions distributed to it, in commit order, and the queue holds
+///      exactly the distributed-but-unacked rest. Holds at ALL times, faults
+///      or not, so it is checked mid-flight too. A txn committed locally but
+///      not yet acked is marked by the apply watermark
+///      (SubscriptionInfo::inflight_applied, 0 or 1), which needs a queued
+///      txn to mark. Bounded histories trim the same settled prefix from
+///      both sides, so the prefix check runs unchanged on the retained
+///      suffixes.
 class ConsistencyChecker {
  public:
   /// Checks every live subscription in `repl`. If `cache` is non-null, also

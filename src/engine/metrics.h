@@ -58,7 +58,8 @@ struct ReplMetricsSnapshot {
   double latency_p50 = 0;
   double latency_p95 = 0;
   double latency_p99 = 0;
-  // Group-commit observability.
+  // Delivery units (one per stream txn), so avg_batch_size is 1 once any
+  // has been distributed.
   int64_t batches_distributed = 0;
   double avg_batch_size = 0;
   /// Non-empty commit→apply lag buckets (sys.dm_repl_lag_histogram).

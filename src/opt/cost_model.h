@@ -50,9 +50,8 @@ struct CostModel {
   static constexpr double kDistributeRecordCost = 45.0;
   static constexpr double kApplyRecordCost = 90.0;
   /// Fixed per-delivery-unit cost at the subscriber (connection turnaround,
-  /// batch framing, the ack round-trip). Charged once per TxnBatch, so group
-  /// commit amortizes it across distribution_batch_size txns — this is the
-  /// term the DES fleet model prices when exp3 replays a batched pipeline.
+  /// local commit, the ack round-trip). Charged once per stream transaction:
+  /// a source txn that touches several of a cache's views pays it once.
   static constexpr double kReplDeliveryOverheadCost = 30.0;
 
   static double SortCost(double rows) {

@@ -20,10 +20,6 @@ const char* FaultSiteName(FaultSite site) {
       return "apply_commit";
     case FaultSite::kSnapshotRow:
       return "snapshot_row";
-    case FaultSite::kDistributeBatch:
-      return "distribute_batch";
-    case FaultSite::kBatchAck:
-      return "batch_ack";
   }
   return "unknown";
 }

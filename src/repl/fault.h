@@ -15,7 +15,9 @@ namespace mtcache {
 
 /// Injection points threaded through the replication pipeline and the cached
 /// view snapshot path. Each site is visited once per unit of work (record,
-/// transaction, row), so scripted rules can target "the Nth apply" exactly.
+/// transaction, change, row), so scripted rules can target "the Nth apply"
+/// exactly. kDeliverTxn and kApplyCommit are visited once per stream
+/// transaction, kApplyChange once per change inside it.
 enum class FaultSite {
   kLogReadStall,    // storage seam: WAL page read fails mid-scan (kDelay)
   kLogReadRecord,   // log reader processing a scanned record
@@ -24,10 +26,6 @@ enum class FaultSite {
   kApplyChange,     // subscriber applying one change inside the local txn
   kApplyCommit,     // after the local commit, before the delivery is acked
   kSnapshotRow,     // copying one row of a cached-view snapshot
-  // Batched-distribution sites (appended so older scripted schedules keep
-  // their site identities):
-  kDistributeBatch,  // log reader committing one formed batch to a queue
-  kBatchAck,         // after every txn of a batch applied, before the ack
 };
 
 enum class FaultAction {

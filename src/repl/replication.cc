@@ -15,7 +15,7 @@ void ReplicationSystem::AddPublisher(Server* publisher) {
   if (publishers_.count(publisher) > 0) return;
   PublisherState state;
   state.server = publisher;
-  state.next_lsn = publisher->db().log().next_lsn();
+  state.next_lsn = publisher->db().log().RegisterReader();
   publishers_[publisher] = std::move(state);
 }
 
@@ -46,21 +46,46 @@ StatusOr<int64_t> ReplicationSystem::Subscribe(Server* publisher,
     return Status::InvalidArgument("subscription target table " +
                                    target_table + " has no primary-key index");
   }
+  Stream*& stream = stream_of_[{publisher, subscriber}];
+  if (stream == nullptr) {
+    auto created = std::make_unique<Stream>();
+    created->id = next_stream_id_++;
+    created->publisher = publisher;
+    created->subscriber = subscriber;
+    stream = created.get();
+    streams_[stream->id] = std::move(created);
+  }
   auto sub = std::make_unique<Subscription>();
   sub->id = next_subscription_id_++;
-  sub->publisher = publisher;
   sub->article = article;
-  sub->subscriber = subscriber;
   sub->target_table = target_table;
   sub->start_lsn = publisher->db().log().next_lsn();
+  sub->stream = stream;
+  stream->articles.push_back(sub.get());
   int64_t id = sub->id;
   subscriptions_[id] = std::move(sub);
   return id;
 }
 
 Status ReplicationSystem::Unsubscribe(int64_t subscription_id) {
-  if (subscriptions_.erase(subscription_id) == 0) {
+  auto it = subscriptions_.find(subscription_id);
+  if (it == subscriptions_.end()) {
     return Status::NotFound("unknown subscription");
+  }
+  Stream* stream = it->second->stream;
+  // The article's queued changes go with it: a refresh re-snapshots the
+  // target, and changes distributed before that must never apply on top of
+  // the fresh copy. The txns stay queued for the stream's other articles.
+  for (PendingTxn& txn : stream->queue) {
+    std::erase_if(txn.changes, [&](const StreamChange& change) {
+      return change.article == subscription_id;
+    });
+  }
+  std::erase(stream->articles, it->second.get());
+  subscriptions_.erase(it);
+  if (stream->articles.empty()) {
+    stream_of_.erase({stream->publisher, stream->subscriber});
+    streams_.erase(stream->id);
   }
   return Status::Ok();
 }
@@ -70,37 +95,21 @@ Status ReplicationSystem::Crash(const std::string& what) {
   return Status::Unavailable("injected crash: " + what);
 }
 
-void ReplicationSystem::RecordFailure(Subscription* sub) {
-  ++sub->consecutive_failures;
-  int shift = sub->consecutive_failures - 1;
+void ReplicationSystem::RecordFailure(Stream* stream) {
+  ++stream->consecutive_failures;
+  int shift = stream->consecutive_failures - 1;
   if (shift > 16) shift = 16;
   double backoff = backoff_base_ * static_cast<double>(int64_t{1} << shift);
   if (backoff > backoff_max_) backoff = backoff_max_;
   if (backoff_jitter_ > 0) {
     // Shrink by a random fraction of the jitter window so a fleet of failed
-    // subscriptions spreads its retries instead of thundering in lockstep.
+    // streams spreads its retries instead of thundering in lockstep.
     // Drawn from the system's seeded RNG: same seed + same failure sequence
     // => byte-identical backoff schedule (DES replays stay stable).
     backoff *= 1.0 - backoff_jitter_ * backoff_rng_.NextDouble();
   }
   double now = clock_ != nullptr ? clock_->Now() : 0.0;
-  sub->retry_after = now + backoff;
-}
-
-void ReplicationSystem::TrimHistories(Subscription* sub) {
-  if (history_limit_ <= 0) return;
-  int64_t excess =
-      static_cast<int64_t>(sub->applied_history.size()) - history_limit_;
-  if (excess <= 0) return;
-  // Only the settled prefix is trimmed — acked txns are by construction an
-  // element-wise prefix of the enqueue history, so dropping the same count
-  // from the front of both keeps the prefix invariant checkable on the
-  // retained suffixes.
-  sub->applied_history.erase(sub->applied_history.begin(),
-                             sub->applied_history.begin() + excess);
-  sub->enqueued_history.erase(sub->enqueued_history.begin(),
-                              sub->enqueued_history.begin() + excess);
-  sub->history_trimmed += excess;
+  stream->retry_after = now + backoff;
 }
 
 Status ReplicationSystem::RunLogReader(Server* publisher,
@@ -124,22 +133,26 @@ Status ReplicationSystem::RunLogReader(Server* publisher,
   // and a staging area for distributed txns. Only a fully successful pass
   // commits them (plus the read position, metrics, and log truncation), so
   // an injected crash anywhere below leaves the durable state exactly as it
-  // was and the restarted reader re-runs the batch from the same LSN —
+  // was and the restarted reader re-runs the scan from the same LSN —
   // transactions are distributed exactly once.
   std::map<TxnId, std::vector<LogRecord>> open_txns = state.open_txns;
-  std::vector<std::pair<Subscription*, PendingTxn>> staged;
+  std::vector<std::pair<Stream*, PendingTxn>> staged;
   int64_t records_scanned = 0;
   int64_t changes_enqueued = 0;
   double publisher_cost = 0;
-  // The distributor's subscriptions, listed at the scan's first commit. Each
-  // binds at its first change. Nothing is kept across scans: a published
-  // table may be dropped and re-created between them.
+  // The publisher's streams and their articles, listed at the scan's first
+  // commit. Each article binds at its first change. Nothing is kept across
+  // scans: a published table may be dropped and re-created between them.
   struct Target {
     Subscription* sub;
     const TableDef* base;  // null: table missing or binding failed
     std::optional<BoundSelectProject> bound;
   };
-  std::optional<std::vector<Target>> targets;
+  struct StreamTargets {
+    Stream* stream;
+    std::vector<Target> articles;
+  };
+  std::optional<std::vector<StreamTargets>> targets;
 
   for (LogRecord& rec : records) {
     if (Decide(FaultSite::kLogReadRecord) == FaultAction::kCrash) {
@@ -172,44 +185,53 @@ Status ReplicationSystem::RunLogReader(Server* publisher,
             "repl.distribute", TraceRecorder::Global().enabled()
                                    ? "txn " + std::to_string(rec.txn)
                                    : std::string());
-        // Filter and project per subscription (the distributor's job).
+        // Filter and project per article (the distributor's job), into
+        // one PendingTxn per stream.
         if (!targets.has_value()) {
           targets.emplace();
-          for (auto& [id, sub] : subscriptions_) {
-            if (sub->publisher != publisher) continue;
-            targets->push_back(
-                {sub.get(),
-                 publisher->db().catalog().GetTable(sub->article.def.base_table),
-                 std::nullopt});
+          for (auto& [id, stream] : streams_) {
+            if (stream->publisher != publisher) continue;
+            StreamTargets& group = targets->emplace_back();
+            group.stream = stream.get();
+            for (Subscription* sub : stream->articles) {
+              group.articles.push_back(
+                  {sub,
+                   publisher->db().catalog().GetTable(
+                       sub->article.def.base_table),
+                   std::nullopt});
+            }
           }
         }
-        for (auto& [sub, base, bound] : *targets) {
-          if (base == nullptr) continue;
+        for (auto& [stream, articles] : *targets) {
           PendingTxn pending;
           pending.source_txn = rec.txn;
           pending.commit_time = rec.commit_time;
-          for (const LogRecord& change : changes) {
-            if (change.table != sub->article.def.base_table) continue;
-            // Changes predating the subscription's snapshot are already in
-            // the initial copy.
-            if (change.lsn < sub->start_lsn) continue;
-            if (!bound.has_value()) {
-              auto bound_or = BoundSelectProject::Bind(sub->article.def, *base);
-              if (!bound_or.ok()) {
-                base = nullptr;
-                break;
+          for (auto& [sub, base, bound] : articles) {
+            if (base == nullptr) continue;
+            for (const LogRecord& change : changes) {
+              if (change.table != sub->article.def.base_table) continue;
+              // Changes predating the subscription's snapshot are already
+              // in the initial copy.
+              if (change.lsn < sub->start_lsn) continue;
+              if (!bound.has_value()) {
+                auto bound_or =
+                    BoundSelectProject::Bind(sub->article.def, *base);
+                if (!bound_or.ok()) {
+                  base = nullptr;
+                  break;
+                }
+                bound = bound_or.ConsumeValue();
               }
-              bound = bound_or.ConsumeValue();
+              std::optional<ReplChange> out =
+                  bound->Delta(change.type, change.before, change.after);
+              if (!out.has_value()) continue;  // entirely outside the article
+              pending.changes.push_back({sub->id, std::move(*out)});
+              ++changes_enqueued;
+              publisher_cost += CostModel::kDistributeRecordCost;
             }
-            std::optional<ReplChange> out =
-                bound->Delta(change.type, change.before, change.after);
-            if (!out.has_value()) continue;  // entirely outside the article
-            pending.changes.push_back(std::move(*out));
-            ++changes_enqueued;
-            publisher_cost += CostModel::kDistributeRecordCost;
           }
           if (!pending.changes.empty()) {
-            staged.emplace_back(sub, std::move(pending));
+            staged.emplace_back(stream, std::move(pending));
           }
         }
         break;
@@ -217,42 +239,13 @@ Status ReplicationSystem::RunLogReader(Server* publisher,
     }
   }
 
-  // Group-commit: pack the staged txns into per-subscription batches of at
-  // most distribution_batch_size_, preserving commit order per subscription
-  // (staged is scanned in commit order). Each batch is one delivery unit.
-  std::vector<std::pair<Subscription*, TxnBatch>> staged_batches;
-  std::map<Subscription*, size_t> open_batch;
-  for (auto& [sub, pending] : staged) {
-    auto ob = open_batch.find(sub);
-    if (ob == open_batch.end() ||
-        staged_batches[ob->second].second.txns.size() >=
-            static_cast<size_t>(distribution_batch_size_)) {
-      staged_batches.emplace_back(sub, TxnBatch{});
-      ob = open_batch.insert_or_assign(sub, staged_batches.size() - 1).first;
-    }
-    staged_batches[ob->second].second.txns.push_back(std::move(pending));
-  }
-
-  // Batch-boundary fault site: one visit per formed batch, decided BEFORE
-  // anything commits, so a crash here leaves durable state untouched and the
-  // re-run scan re-forms identical batches (exactly-once distribution).
-  for (auto& [sub, batch] : staged_batches) {
-    if (Decide(FaultSite::kDistributeBatch) == FaultAction::kCrash) {
-      return Crash("log reader died at a batch boundary for subscription " +
-                   std::to_string(sub->id));
-    }
-  }
-
   // Commit the scan: queues first (the distribution database), then the
   // reader's durable position and the accounting.
-  for (auto& [sub, batch] : staged_batches) {
-    for (const PendingTxn& pending : batch.txns) {
-      sub->enqueued_history.push_back(pending.source_txn);
-    }
-    ++metrics_.batches_distributed;
-    metrics_.batch_txns_distributed += static_cast<int64_t>(batch.txns.size());
-    sub->queue.push_back(std::move(batch));
+  for (auto& [stream, pending] : staged) {
+    stream->enqueued_history.push_back(pending.source_txn);
+    stream->queue.push_back(std::move(pending));
   }
+  metrics_.batches_distributed += static_cast<int64_t>(staged.size());
   state.open_txns = std::move(open_txns);
   state.next_lsn = scanned_to;
   metrics_.records_scanned += records_scanned;
@@ -273,52 +266,63 @@ Status ReplicationSystem::RunLogReader(Server* publisher,
   return Status::Ok();
 }
 
-Status ReplicationSystem::ApplyTxn(Subscription* sub, const PendingTxn& txn,
+Status ReplicationSystem::ApplyTxn(Stream* stream, const PendingTxn& txn,
                                    ExecStats* stats) {
   // Pipeline stage 3 span: subscriber apply of one source transaction.
   SpanScope span("repl.apply",
                  TraceRecorder::Global().enabled()
-                     ? sub->target_table + " txn " +
+                     ? stream->subscriber->name() + " txn " +
                            std::to_string(txn.source_txn)
                      : std::string());
-  Database& db = sub->subscriber->db();
-  StoredTable* table = db.GetStoredTable(sub->target_table);
-  if (table == nullptr) {
-    return Status::NotFound("subscription target table vanished: " +
-                            sub->target_table);
+  // Per-delivery-unit overhead: one per stream txn.
+  if (stats != nullptr) {
+    stats->local_cost += CostModel::kReplDeliveryOverheadCost;
   }
-  const TableDef& def = table->def();
-
+  Database& db = stream->subscriber->db();
   auto local_txn = db.txn_manager().Begin();
-  int64_t applied_changes = 0;
-  for (const ReplChange& change : txn.changes) {
+  // Changes arrive grouped by article, so the target is resolved once per
+  // run of one article's changes.
+  int64_t article = -1;
+  StoredTable* table = nullptr;
+  for (const StreamChange& change : txn.changes) {
+    if (change.article != article) {
+      article = change.article;
+      const std::string& target =
+          subscriptions_.at(article)->target_table;
+      table = db.GetStoredTable(target);
+      if (table == nullptr) {
+        db.txn_manager().Abort(local_txn.get());
+        return Status::NotFound("subscription target table vanished: " +
+                                target);
+      }
+    }
     if (Decide(FaultSite::kApplyChange) == FaultAction::kCrash) {
       // The subscriber dies mid-apply: its local transaction rolls back, so
-      // no partial txn is ever visible, and the delivery is retried.
+      // no part of the source txn is visible in any view, and the delivery
+      // is retried.
       db.txn_manager().Abort(local_txn.get());
       return Crash("subscriber died applying txn " +
-                   std::to_string(txn.source_txn) + " into " +
-                   sub->target_table);
+                   std::to_string(txn.source_txn) + " on " +
+                   stream->subscriber->name());
     }
     if (stats != nullptr) {
-      stats->local_cost += CostModel::kApplyRecordCost +
-                           def.indexes.size() * CostModel::kIndexMaintRowCost;
+      stats->local_cost +=
+          CostModel::kApplyRecordCost +
+          table->def().indexes.size() * CostModel::kIndexMaintRowCost;
     }
-    Status status = ApplyViewChange(table, change, local_txn.get());
+    Status status = ApplyViewChange(table, change.change, local_txn.get());
     if (!status.ok()) {
       db.txn_manager().Abort(local_txn.get());
       return status;
     }
-    ++applied_changes;
   }
   double now = clock_ != nullptr ? clock_->Now() : 0.0;
   db.txn_manager().Commit(local_txn.get(), now);
-  // The apply watermark advances together with the commit (in a real
-  // subscriber both live in the same database), so redelivery of the batch
-  // after a crash before the ack resumes right after this txn — exactly-once
-  // apply.
-  ++sub->front_applied;
-  metrics_.changes_applied += applied_changes;
+  // The apply watermark is set together with the commit (in a real
+  // subscriber both live in the same database), so a redelivery after a
+  // crash before the ack does not apply the txn again — exactly-once apply.
+  stream->front_applied = true;
+  metrics_.changes_applied += static_cast<int64_t>(txn.changes.size());
   ++metrics_.txns_applied;
   double latency = now - txn.commit_time;
   if (latency >= 0) {
@@ -328,115 +332,89 @@ Status ReplicationSystem::ApplyTxn(Subscription* sub, const PendingTxn& txn,
     metrics_.lag_histogram.Record(latency);
   }
   if (Decide(FaultSite::kApplyCommit) == FaultAction::kCrash) {
-    // Crash after the local commit but before the batch is acked: the txn
-    // stays queued and will be redelivered, hitting the watermark above.
+    // Crash after the local commit but before the ack: the txn stays
+    // queued and will be redelivered, hitting the watermark above.
     return Crash("subscriber died after committing txn " +
                  std::to_string(txn.source_txn) + ", before ack");
   }
   return Status::Ok();
 }
 
-Status ReplicationSystem::DeliverBatch(Subscription* sub,
-                                       const TxnBatch& batch,
-                                       ExecStats* stats) {
-  if (sub->subscriber->db().GetStoredTable(sub->target_table) == nullptr) {
-    return Status::NotFound("subscription target table vanished: " +
-                            sub->target_table);
+void ReplicationSystem::AckFront(Stream* stream) {
+  // The ack appends to the applied history in commit order, so
+  // applied_history stays an element-wise prefix of enqueued_history at
+  // every observation point.
+  stream->applied_history.push_back(stream->queue.front().source_txn);
+  stream->queue.pop_front();
+  stream->front_applied = false;
+  stream->consecutive_failures = 0;
+  stream->retry_after = 0;
+  // Only the settled prefix is trimmed — acked txns are by construction an
+  // element-wise prefix of the enqueue history, so dropping the same count
+  // from the front of both keeps the prefix invariant checkable on the
+  // retained suffixes.
+  while (history_limit_ > 0 &&
+         static_cast<int64_t>(stream->applied_history.size()) >
+             history_limit_) {
+    stream->applied_history.pop_front();
+    stream->enqueued_history.pop_front();
+    ++stream->history_trimmed;
   }
-  // Per-delivery-unit overhead, amortized over the batch by group commit.
-  if (stats != nullptr) {
-    stats->local_cost += CostModel::kReplDeliveryOverheadCost;
+}
+
+Status ReplicationSystem::DeliverStream(Stream* stream, ExecStats* stats) {
+  double now = clock_ != nullptr ? clock_->Now() : 0.0;
+  if (stream->retry_after > now) return Status::Ok();  // backing off
+  while (!stream->queue.empty()) {
+    PendingTxn& txn = stream->queue.front();
+    if (stream->front_applied) {
+      // The txn committed locally before the agent crashed in the ack
+      // window: ack it without applying it again, counted as a re-attempt.
+      ++metrics_.txns_retried;
+    } else {
+      FaultAction delivery = Decide(FaultSite::kDeliverTxn);
+      if (delivery == FaultAction::kDrop) {
+        // Lost in transit. The distribution database still holds it, so it
+        // is redelivered after a backoff.
+        ++metrics_.deliveries_dropped;
+        RecordFailure(stream);
+        break;
+      }
+      if (delivery == FaultAction::kDelay) break;  // stalls; next poll
+      if (delivery == FaultAction::kCrash) {
+        RecordFailure(stream);
+        return Crash("distribution agent died delivering to " +
+                     stream->subscriber->name());
+      }
+      if (txn.attempts++ > 0) ++metrics_.txns_retried;
+      Status applied = ApplyTxn(stream, txn, stats);
+      if (!applied.ok()) {
+        RecordFailure(stream);
+        return applied;
+      }
+    }
+    AckFront(stream);
   }
-  // Strictly in commit order, resuming after the watermark: the txns before
-  // it committed locally before a crash and are not re-applied.
-  for (size_t i = static_cast<size_t>(sub->front_applied);
-       i < batch.txns.size(); ++i) {
-    MT_RETURN_IF_ERROR(ApplyTxn(sub, batch.txns[i], stats));
+  if (!stream->queue.empty()) return Status::Ok();
+  // Drained: every target on the stream is current as of the publisher's
+  // last fully-processed log position (freshness bookkeeping, §7).
+  auto pub = publishers_.find(stream->publisher);
+  if (pub == publishers_.end()) return Status::Ok();
+  Catalog& catalog = stream->subscriber->db().catalog();
+  for (const Subscription* sub : stream->articles) {
+    TableDef* target = catalog.GetTable(sub->target_table);
+    if (target != nullptr) {
+      target->freshness_time.UpdateMax(pub->second.last_scan_time);
+    }
   }
   return Status::Ok();
 }
 
-void ReplicationSystem::AckBatch(Subscription* sub) {
-  TxnBatch& batch = sub->queue.front();
-  sub->front_applied = 0;
-  // The ack appends to the applied history in commit order, so
-  // applied_history stays an element-wise prefix of enqueued_history at
-  // every observation point.
-  for (const PendingTxn& txn : batch.txns) {
-    sub->applied_history.push_back(txn.source_txn);
-  }
-  sub->queue.pop_front();
-  TrimHistories(sub);
-}
-
 Status ReplicationSystem::RunDistributionAgent(Server* subscriber,
                                                ExecStats* subscriber_stats) {
-  double now = clock_ != nullptr ? clock_->Now() : 0.0;
-  for (auto& [id, sub] : subscriptions_) {
-    if (sub->subscriber != subscriber) continue;
-    if (sub->retry_after > now) continue;  // backing off after a failure
-    int acked_this_poll = 0;
-    while (!sub->queue.empty() &&
-           (max_batches_per_poll_ == 0 ||
-            acked_this_poll < max_batches_per_poll_)) {
-      TxnBatch& batch = sub->queue.front();
-      // Txns [0, marked) committed locally before a crash. Redelivery skips
-      // them, but each skip counts as a re-attempt.
-      const size_t marked = static_cast<size_t>(sub->front_applied);
-      if (marked < batch.txns.size()) {
-        FaultAction delivery = Decide(FaultSite::kDeliverTxn);
-        if (delivery == FaultAction::kDrop) {
-          // Lost in transit. The distribution database still holds it, so
-          // it is redelivered after a backoff.
-          ++metrics_.deliveries_dropped;
-          RecordFailure(sub.get());
-          break;
-        }
-        if (delivery == FaultAction::kDelay) break;  // stalls; next poll
-        if (delivery == FaultAction::kCrash) {
-          RecordFailure(sub.get());
-          return Crash("distribution agent died delivering to " +
-                       subscriber->name());
-        }
-        metrics_.txns_retried += static_cast<int64_t>(marked);
-        for (size_t i = marked; i < batch.txns.size(); ++i) {
-          PendingTxn& txn = batch.txns[i];
-          if (txn.attempts > 0) ++metrics_.txns_retried;
-          ++txn.attempts;
-        }
-        Status applied = DeliverBatch(sub.get(), batch, subscriber_stats);
-        if (!applied.ok()) {
-          RecordFailure(sub.get());
-          return applied;
-        }
-      } else {
-        // The whole batch committed before the agent crashed in the ack
-        // window: ack it without re-applying.
-        metrics_.txns_retried += static_cast<int64_t>(marked);
-      }
-      if (Decide(FaultSite::kBatchAck) == FaultAction::kCrash) {
-        // Every txn applied and committed, but the agent dies before the
-        // ack: the batch stays queued fully watermarked.
-        RecordFailure(sub.get());
-        return Crash("distribution agent died before acking batch to " +
-                     subscriber->name());
-      }
-      AckBatch(sub.get());
-      sub->consecutive_failures = 0;
-      sub->retry_after = 0;
-      ++acked_this_poll;
-    }
-    if (!sub->queue.empty()) continue;
-    // Queue drained: the replica is current as of the publisher's last
-    // fully-processed log position (freshness bookkeeping, §7 extension).
-    auto pub = publishers_.find(sub->publisher);
-    if (pub != publishers_.end()) {
-      TableDef* target =
-          subscriber->db().catalog().GetTable(sub->target_table);
-      if (target != nullptr) {
-        target->freshness_time.UpdateMax(pub->second.last_scan_time);
-      }
-    }
+  for (auto& [id, stream] : streams_) {
+    if (stream->subscriber != subscriber) continue;
+    MT_RETURN_IF_ERROR(DeliverStream(stream.get(), subscriber_stats));
   }
   return Status::Ok();
 }
@@ -446,36 +424,25 @@ Status ReplicationSystem::RunOnce(ExecStats* publisher_stats,
   for (auto& [server, state] : publishers_) {
     MT_RETURN_IF_ERROR(RunLogReader(server, publisher_stats));
   }
-  // Collect distinct subscribers.
-  std::vector<Server*> subscribers;
-  for (auto& [id, sub] : subscriptions_) {
-    bool seen = false;
-    for (Server* s : subscribers) {
-      if (s == sub->subscriber) seen = true;
-    }
-    if (!seen) subscribers.push_back(sub->subscriber);
-  }
-  for (Server* s : subscribers) {
-    MT_RETURN_IF_ERROR(RunDistributionAgent(s, subscriber_stats));
+  for (auto& [id, stream] : streams_) {
+    MT_RETURN_IF_ERROR(DeliverStream(stream.get(), subscriber_stats));
   }
   return Status::Ok();
 }
 
 int64_t ReplicationSystem::PendingChanges() const {
   int64_t total = 0;
-  for (const auto& [id, sub] : subscriptions_) {
-    for (const TxnBatch& batch : sub->queue) {
-      for (const PendingTxn& txn : batch.txns) {
-        total += static_cast<int64_t>(txn.changes.size());
-      }
+  for (const auto& [id, stream] : streams_) {
+    for (const PendingTxn& txn : stream->queue) {
+      total += static_cast<int64_t>(txn.changes.size());
     }
   }
   return total;
 }
 
 bool ReplicationSystem::Quiesced() const {
-  for (const auto& [id, sub] : subscriptions_) {
-    if (!sub->queue.empty()) return false;
+  for (const auto& [id, stream] : streams_) {
+    if (!stream->queue.empty()) return false;
   }
   for (const auto& [server, state] : publishers_) {
     if (!state.open_txns.empty()) return false;
@@ -487,19 +454,21 @@ bool ReplicationSystem::Quiesced() const {
 std::vector<SubscriptionInfo> ReplicationSystem::DescribeSubscriptions() const {
   std::vector<SubscriptionInfo> out;
   for (const auto& [id, sub] : subscriptions_) {
+    const Stream& stream = *sub->stream;
     SubscriptionInfo info;
     info.id = sub->id;
-    info.publisher = sub->publisher;
-    info.subscriber = sub->subscriber;
+    info.stream_id = stream.id;
+    info.publisher = stream.publisher;
+    info.subscriber = stream.subscriber;
     info.def = sub->article.def;
     info.target_table = sub->target_table;
-    for (const TxnBatch& batch : sub->queue) {
-      info.queued_txns += static_cast<int64_t>(batch.txns.size());
-    }
-    info.enqueued_txns = sub->enqueued_history;
-    info.applied_txns = sub->applied_history;
-    info.history_trimmed = sub->history_trimmed;
-    info.inflight_applied = sub->front_applied;
+    info.queued_txns = static_cast<int64_t>(stream.queue.size());
+    info.enqueued_txns.assign(stream.enqueued_history.begin(),
+                              stream.enqueued_history.end());
+    info.applied_txns.assign(stream.applied_history.begin(),
+                             stream.applied_history.end());
+    info.history_trimmed = stream.history_trimmed;
+    info.inflight_applied = stream.front_applied ? 1 : 0;
     out.push_back(std::move(info));
   }
   return out;

@@ -122,7 +122,6 @@ Status Fleet::BuildSystem() {
   clock_.AdvanceTo(tpcw::LoadEndTime(config_.tpcw));
 
   repl_ = std::make_unique<ReplicationSystem>(&clock_);
-  repl_->set_distribution_batch_size(config_.distribution_batch_size);
   for (int i = 0; i < config_.num_caches; ++i) {
     caches_.push_back(std::make_unique<Server>(
         ServerOptions{"cache" + std::to_string(i + 1), "dbo", {}}, &clock_,
@@ -431,7 +430,7 @@ StatusOr<FleetResult> Fleet::Simulate(const FleetLoad& load) {
 
   // Replication agents: a periodic log-reader/distributor poll on the
   // backend whose completion fans apply jobs out to every cache machine.
-  // Each batched source txn's commit->apply lag is recorded per subscriber
+  // Each source txn's commit->apply lag is recorded per subscriber
   // — this is the distribution sys.dm_repl_lag_histogram reports.
   std::function<void()> poll = [&]() {
     if (des.now() >= run_end) return;

@@ -47,11 +47,6 @@ struct FleetConfig {
   double app_work = 800;
   double think_time = 1.0;
   double repl_poll_interval = 0.75;
-  /// Group-commit batch size threaded into the real pipeline
-  /// (ReplicationSystem::set_distribution_batch_size) before profiling, so
-  /// the profiled per-interaction repl costs amortize the per-delivery
-  /// overhead the way the production pipeline would. 1 = serial pipeline.
-  int distribution_batch_size = 1;
 };
 
 /// One simulated closed-loop run over an initialized fleet's profile.

@@ -33,9 +33,11 @@ struct LogRecord {
 };
 
 /// The database log. Append-only; readers (the replication log reader) poll
-/// from a saved position. Records already propagated to all subscribers can
-/// be truncated. Internally synchronized: concurrent sessions append while
-/// the replication log reader scans from another thread.
+/// from a saved position. Records are retained only once a reader has
+/// registered: a server nobody reads (a cache) advances its LSNs but keeps
+/// no records. Records already propagated to all subscribers can be
+/// truncated. Internally synchronized: concurrent sessions append while the
+/// replication log reader scans from another thread.
 class LogManager {
  public:
   LogManager() = default;
@@ -49,8 +51,21 @@ class LogManager {
     MutexWait guard(mu_, WaitSite::kWalMutex);
     record.lsn = next_lsn_++;
     Lsn lsn = record.lsn;
-    records_.push_back(std::move(record));
+    if (has_reader_) {
+      records_.push_back(std::move(record));
+    } else {
+      first_lsn_ = next_lsn_;
+    }
     return lsn;
+  }
+
+  /// Registers a log reader: from now on appended records are retained until
+  /// truncated. Returns the position the reader starts at — the current end
+  /// of the log, since nothing before it was kept.
+  Lsn RegisterReader() {
+    std::lock_guard<std::mutex> guard(mu_);
+    has_reader_ = true;
+    return next_lsn_;
   }
 
   Lsn next_lsn() const {
@@ -84,8 +99,9 @@ class LogManager {
   void TruncateBefore(Lsn up_to);
 
  private:
-  mutable std::mutex mu_;  // guards records_, next_lsn_, first_lsn_
+  mutable std::mutex mu_;  // guards every member but the hook
   std::deque<LogRecord> records_;
+  bool has_reader_ = false;
   Lsn next_lsn_ = 1;
   Lsn first_lsn_ = 1;
   ReadFaultHook read_fault_hook_;

@@ -546,17 +546,16 @@ TEST_F(ReplicatedConcurrencyTest, RandomizedInterleavingsStayConsistent) {
   }
 }
 
-TEST_F(ReplicatedConcurrencyTest, BatchedApplyRacesReadersAndDmvScans) {
-  // The group-commit pipeline under fire: batches of 4 txns applied in
-  // commit order while reader sessions hammer the cached view and scan the
-  // replication DMVs, with faults injected at the batch boundary, mid-batch
-  // apply, delivery, and the ack window. Runs in the TSan leg.
-  repl_.set_distribution_batch_size(4);
+TEST_F(ReplicatedConcurrencyTest, StreamApplyRacesReadersAndDmvScans) {
+  // The stream pipeline under fire: txns applied in commit order while
+  // reader sessions hammer the cached view and scan the replication DMVs,
+  // with faults injected at distribution, delivery, mid-apply, and the ack
+  // window. Runs in the TSan leg.
   FaultPlan plan(29);
-  plan.AddRandomRule(FaultSite::kDistributeBatch, FaultAction::kCrash, 0.05);
+  plan.AddRandomRule(FaultSite::kDistributeTxn, FaultAction::kCrash, 0.05);
   plan.AddRandomRule(FaultSite::kDeliverTxn, FaultAction::kDrop, 0.1);
   plan.AddRandomRule(FaultSite::kApplyChange, FaultAction::kCrash, 0.05);
-  plan.AddRandomRule(FaultSite::kBatchAck, FaultAction::kCrash, 0.05);
+  plan.AddRandomRule(FaultSite::kApplyCommit, FaultAction::kCrash, 0.05);
   repl_.set_fault_plan(&plan);
   mtcache_->set_fault_plan(&plan);
 
@@ -581,7 +580,7 @@ TEST_F(ReplicatedConcurrencyTest, BatchedApplyRacesReadersAndDmvScans) {
             return;
           }
         } else {
-          // DMV scans racing the batch apply and the batch acks.
+          // DMV scans racing the apply and the acks.
           auto dmv = cache_.Execute(rng.Bernoulli(0.5)
                                         ? "SELECT * FROM sys.dm_repl_metrics"
                                         : "SELECT * FROM sys.dm_mtcache_views");
@@ -610,8 +609,8 @@ TEST_F(ReplicatedConcurrencyTest, BatchedApplyRacesReadersAndDmvScans) {
   for (std::thread& t : readers) t.join();
   ASSERT_EQ(errors.count(), 0) << errors.first();
 
-  // Quiesce and prove full row-level convergence despite batching and
-  // crash/drop faults at every batch site.
+  // Quiesce and prove full row-level convergence despite crash/drop faults
+  // at every pipeline site.
   ASSERT_TRUE(DrainPipeline(&repl_, &clock_).ok());
   ConsistencyReport report = checker.Check();
   EXPECT_TRUE(report.ok()) << report.ToString() << "\n" << plan.ToString();
@@ -626,7 +625,6 @@ TEST_F(ReplicatedConcurrencyTest, ResetMetricsRacesConcurrentDmvReaders) {
   // stores must never tear against DMV readers snapshotting the counters.
   // Readers scan sys.dm_repl_metrics and the lag histogram in a tight loop
   // while one thread resets and the main thread keeps pumping the pipeline.
-  repl_.set_distribution_batch_size(3);
 
   ThreadErrors errors;
   std::atomic<bool> stop{false};

@@ -190,5 +190,43 @@ TEST_F(MtcacheResyncTest, OtherViewsKeepReplicatingWhileOneResyncFails) {
   ExpectConsistent();
 }
 
+TEST_F(MtcacheResyncTest, RefreshOnASharedStreamDropsOnlyItsStaleChanges) {
+  // hot_products (A) and cheap_products (B) share the cache's one stream.
+  ASSERT_TRUE(CreateHotView().ok());
+  ASSERT_TRUE(mtcache_
+                  ->CreateCachedView(
+                      "cheap_products",
+                      "SELECT p_id, p_price FROM product WHERE p_price <= 20")
+                  .ok());
+  // Three source txns queued for both views, not yet applied: A sees the
+  // insert of 44; B sees the insert and update of 44 and the insert of 45.
+  ASSERT_TRUE(backend_
+                  .ExecuteScript(
+                      "INSERT INTO product VALUES (44, 'p44', 'hot', 4.0); "
+                      "UPDATE product SET p_price = 5.0 WHERE p_id = 44; "
+                      "INSERT INTO product VALUES (45, 'p45', 'cold', 6.0)")
+                  .ok());
+  ASSERT_TRUE(repl_.RunLogReader(&backend_, nullptr).ok());
+  const int64_t queued = repl_.PendingChanges();
+  // Refreshing A re-snapshots it: its fresh copy already holds row 44, so
+  // the queued insert of 44 must never be applied on top of it (it would
+  // also fail on the key and block the stream).
+  ASSERT_TRUE(mtcache_->RefreshCachedView("hot_products").ok());
+  EXPECT_EQ(repl_.PendingChanges(), 3) << "B's three changes, of " << queued;
+  ConsistencyChecker checker(&repl_, &backend_, &cache_);
+  ConsistencyReport invariants = checker.CheckInvariants();
+  EXPECT_TRUE(invariants.ok()) << invariants.ToString();
+  // B's changes still apply, in commit order (the update after the insert).
+  const int64_t applied_before = repl_.metrics().changes_applied;
+  ASSERT_TRUE(repl_.RunDistributionAgent(&cache_, nullptr).ok());
+  EXPECT_EQ(repl_.metrics().changes_applied - applied_before, 3);
+  std::vector<std::string> cheap = BackingRows("cheap_products");
+  EXPECT_NE(std::find(cheap.begin(), cheap.end(), "44|5.0|"), cheap.end());
+  EXPECT_NE(std::find(cheap.begin(), cheap.end(), "45|6.0|"), cheap.end());
+  invariants = checker.CheckInvariants();
+  EXPECT_TRUE(invariants.ok()) << invariants.ToString();
+  ExpectConsistent();
+}
+
 }  // namespace
 }  // namespace mtcache

@@ -93,7 +93,7 @@ TEST_F(ReplicationFaultTest, LogReaderCrashLeavesDurablePositionAndRecovers) {
   EXPECT_EQ(repl_.metrics().records_scanned, 0);
   EXPECT_EQ(repl_.PendingChanges(), 0);
   EXPECT_GT(backend_.db().log().size(), 0);
-  // The restarted reader re-runs the batch from the same LSN.
+  // The restarted reader re-runs the scan from the same LSN.
   ASSERT_TRUE(repl_.RunOnce(nullptr, nullptr).ok());
   EXPECT_EQ(CountCacheRows(), 1);
   EXPECT_EQ(repl_.metrics().crashes_injected, 1);
@@ -107,7 +107,7 @@ TEST_F(ReplicationFaultTest, DistributorCrashEnqueuesNothingTwice) {
   EXPECT_EQ(repl_.RunLogReader(&backend_, nullptr).code(),
             StatusCode::kUnavailable);
   EXPECT_EQ(repl_.PendingChanges(), 0);
-  // Recovery re-distributes the whole batch exactly once.
+  // Recovery re-distributes the whole scan exactly once.
   ASSERT_TRUE(repl_.RunLogReader(&backend_, nullptr).ok());
   EXPECT_EQ(repl_.PendingChanges(), 2);
   ASSERT_TRUE(repl_.RunDistributionAgent(&cache_, nullptr).ok());
@@ -204,15 +204,15 @@ TEST_F(ReplicationFaultTest, CommitOrderPrefixInvariantHoldsMidFlight) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched distribution under faults: the batch-boundary and ack-window sites
-// (kDistributeBatch, kBatchAck) and crashes in the middle of a batch.
+// One stream per subscriber under faults: a crash between staged txns of a
+// scan, crashes at every queued position, the ack window, and a source txn
+// that spans two views.
 // ---------------------------------------------------------------------------
 
-TEST_F(ReplicationFaultTest, BatchBoundaryCrashRedistributesExactlyOnce) {
-  repl_.set_distribution_batch_size(2);
-  // Second formed batch hits the crash: the WHOLE scan must abort with no
-  // durable effect (group commit is all-or-nothing per scan).
-  plan_.AddRule(FaultSite::kDistributeBatch, FaultAction::kCrash, 2);
+TEST_F(ReplicationFaultTest, ScanCrashAfterStagingRedistributesExactlyOnce) {
+  // The first txn of the scan is staged when the distributor dies on the
+  // second: the WHOLE scan must abort with no durable effect.
+  plan_.AddRule(FaultSite::kDistributeTxn, FaultAction::kCrash, 2);
   for (int i = 1; i <= 4; ++i) InsertEast(i);
   EXPECT_EQ(repl_.RunLogReader(&backend_, nullptr).code(),
             StatusCode::kUnavailable);
@@ -221,10 +221,10 @@ TEST_F(ReplicationFaultTest, BatchBoundaryCrashRedistributesExactlyOnce) {
   std::vector<SubscriptionInfo> subs = repl_.DescribeSubscriptions();
   ASSERT_EQ(subs.size(), 1u);
   EXPECT_TRUE(subs[0].enqueued_txns.empty());
-  // The restarted scan re-forms identical batches and distributes once.
+  // The restarted scan stages the same txns again and distributes once.
   ASSERT_TRUE(repl_.RunLogReader(&backend_, nullptr).ok());
   EXPECT_EQ(repl_.PendingChanges(), 4);
-  EXPECT_EQ(repl_.metrics().batches_distributed, 2);
+  EXPECT_EQ(repl_.metrics().batches_distributed, 4);
   ASSERT_TRUE(repl_.RunDistributionAgent(&cache_, nullptr).ok());
   EXPECT_EQ(CountCacheRows(), 4);
   EXPECT_EQ(repl_.metrics().txns_applied, 4);
@@ -232,11 +232,10 @@ TEST_F(ReplicationFaultTest, BatchBoundaryCrashRedistributesExactlyOnce) {
 }
 
 TEST_F(ReplicationFaultTest, MidBatchCrashLeavesCacheAtACommitPrefix) {
-  // The backend commits INSERT 1, INSERT 2, UPDATE 1 as one 3-txn batch and
-  // the subscriber dies applying the third. Whatever survives the crash must
-  // be a state the backend actually had after some prefix of its commits —
-  // the cache may lag, but never show {1:u1} without row 2.
-  repl_.set_distribution_batch_size(3);
+  // The backend commits INSERT 1, INSERT 2, UPDATE 1, queued on one stream,
+  // and the subscriber dies applying the third. Whatever survives the crash
+  // must be a state the backend actually had after some prefix of its
+  // commits — the cache may lag, but never show {1:u1} without row 2.
   plan_.AddRule(FaultSite::kApplyChange, FaultAction::kCrash, 3);
   auto rows_of = [](Server* server, const std::string& table) {
     auto r = server->Execute("SELECT c_id, c_name FROM " + table +
@@ -263,73 +262,122 @@ TEST_F(ReplicationFaultTest, MidBatchCrashLeavesCacheAtACommitPrefix) {
   ExpectConsistent();
 }
 
-/// Crash position k = 1..kBatchTxns inside one batch: the subscriber dies
-/// applying the k-th txn.
-constexpr int kBatchTxns = 4;
+/// Crash position k = 1..kQueuedTxns among the stream's queued txns: the
+/// subscriber dies applying the k-th.
+constexpr int kQueuedTxns = 4;
 class MidBatchCrashTest : public ReplicationFaultTest,
                           public ::testing::WithParamInterface<int> {};
 
 TEST_P(MidBatchCrashTest, RedeliveryAppliesExactlyTheRest) {
   const int k = GetParam();
-  repl_.set_distribution_batch_size(kBatchTxns);
   plan_.AddRule(FaultSite::kApplyChange, FaultAction::kCrash, k);
-  for (int i = 1; i <= kBatchTxns; ++i) InsertEast(i);
+  for (int i = 1; i <= kQueuedTxns; ++i) InsertEast(i);
   ASSERT_TRUE(repl_.RunLogReader(&backend_, nullptr).ok());
   EXPECT_EQ(repl_.RunDistributionAgent(&cache_, nullptr).code(),
             StatusCode::kUnavailable);
-  // The k-1 txns before the crash committed and are held by the watermark;
-  // the batch itself stays queued (not acked).
+  // The k-1 txns before the crash committed and were acked; the k-th rolled
+  // back and stays queued with the rest.
   EXPECT_EQ(CountCacheRows(), k - 1);
   EXPECT_EQ(repl_.metrics().txns_applied, k - 1);
-  EXPECT_EQ(repl_.PendingChanges(), kBatchTxns);
+  EXPECT_EQ(repl_.PendingChanges(), kQueuedTxns - (k - 1));
   std::vector<SubscriptionInfo> subs = repl_.DescribeSubscriptions();
   ASSERT_EQ(subs.size(), 1u);
-  EXPECT_EQ(subs[0].inflight_applied, k - 1);
-  EXPECT_TRUE(subs[0].applied_txns.empty()) << "acked only at batch ack";
+  EXPECT_EQ(subs[0].inflight_applied, 0);
+  EXPECT_EQ(subs[0].applied_txns.size(), static_cast<size_t>(k - 1));
   ConsistencyReport invariants = ConsistencyChecker(&repl_).CheckInvariants();
   EXPECT_TRUE(invariants.ok()) << invariants.ToString();
-  // Redelivery applies exactly txns k..n (exactly-once apply), and every
-  // txn of the batch counts as redelivered once.
+  // Redelivery applies exactly txns k..n (exactly-once apply); only the
+  // crashed txn counts as redelivered.
   clock_.Advance(repl_.backoff_max());
   ASSERT_TRUE(repl_.RunDistributionAgent(&cache_, nullptr).ok());
-  EXPECT_EQ(CountCacheRows(), kBatchTxns);
-  EXPECT_EQ(repl_.metrics().txns_applied, kBatchTxns);
-  EXPECT_EQ(repl_.metrics().txns_retried, kBatchTxns);
+  EXPECT_EQ(CountCacheRows(), kQueuedTxns);
+  EXPECT_EQ(repl_.metrics().txns_applied, kQueuedTxns);
+  EXPECT_EQ(repl_.metrics().txns_retried, 1);
   EXPECT_EQ(repl_.PendingChanges(), 0);
   subs = repl_.DescribeSubscriptions();
   EXPECT_EQ(subs[0].inflight_applied, 0);
-  EXPECT_EQ(subs[0].applied_txns.size(), static_cast<size_t>(kBatchTxns));
+  EXPECT_EQ(subs[0].applied_txns.size(), static_cast<size_t>(kQueuedTxns));
   ExpectConsistent();
 }
 
 INSTANTIATE_TEST_SUITE_P(CrashPosition, MidBatchCrashTest,
-                         ::testing::Range(1, kBatchTxns + 1));
+                         ::testing::Range(1, kQueuedTxns + 1));
 
 TEST_F(ReplicationFaultTest, AckCrashAcksViaWatermarkWithoutReapplying) {
-  repl_.set_distribution_batch_size(3);
-  plan_.AddRule(FaultSite::kBatchAck, FaultAction::kCrash, 1);
+  // The agent dies in the ack window of the third txn: after its local
+  // commit, before the ack.
+  plan_.AddRule(FaultSite::kApplyCommit, FaultAction::kCrash, 3);
   for (int i = 1; i <= 3; ++i) InsertEast(i);
   ASSERT_TRUE(repl_.RunLogReader(&backend_, nullptr).ok());
-  // Every txn applies and commits; the agent dies in the ack window.
   EXPECT_EQ(repl_.RunDistributionAgent(&cache_, nullptr).code(),
             StatusCode::kUnavailable);
   EXPECT_EQ(CountCacheRows(), 3);
-  EXPECT_EQ(repl_.PendingChanges(), 3);  // still queued, fully marked
+  EXPECT_EQ(repl_.PendingChanges(), 1);  // still queued, marked applied
   std::vector<SubscriptionInfo> subs = repl_.DescribeSubscriptions();
   ASSERT_EQ(subs.size(), 1u);
-  EXPECT_EQ(subs[0].inflight_applied, 3);
-  // The next delivery recognizes the fully-marked batch and acks it through
-  // the watermark without executing a single change again.
+  EXPECT_EQ(subs[0].inflight_applied, 1);
+  EXPECT_EQ(subs[0].applied_txns.size(), 2u);
+  // The next delivery recognizes the marked txn and acks it through the
+  // watermark without executing its change again.
   clock_.Advance(repl_.backoff_max());
   ASSERT_TRUE(repl_.RunDistributionAgent(&cache_, nullptr).ok());
   EXPECT_EQ(CountCacheRows(), 3);
   EXPECT_EQ(repl_.PendingChanges(), 0);
-  EXPECT_EQ(repl_.metrics().txns_applied, 3);   // never re-applied
-  EXPECT_EQ(repl_.metrics().txns_retried, 3);   // but counted as redelivered
+  EXPECT_EQ(repl_.metrics().txns_applied, 3);  // never re-applied
+  EXPECT_EQ(repl_.metrics().txns_retried, 1);  // but counted as redelivered
   subs = repl_.DescribeSubscriptions();
   EXPECT_EQ(subs[0].inflight_applied, 0);
   EXPECT_EQ(subs[0].applied_txns.size(), 3u);
   ExpectConsistent();
+}
+
+TEST_F(ReplicationFaultTest, CrossViewTxnCrashLeavesBothViewsEmpty) {
+  // Two more views on the same cache; one source txn writes both base
+  // tables. The subscriber dies on the txn's second change.
+  ASSERT_TRUE(backend_
+                  .ExecuteScript(
+                      "CREATE TABLE hdr (h_id INT PRIMARY KEY, h_note "
+                      "VARCHAR(10)); CREATE TABLE line (l_id INT PRIMARY KEY, "
+                      "l_hdr INT)")
+                  .ok());
+  ASSERT_TRUE(cache_
+                  .ExecuteScript(
+                      "CREATE TABLE hdr_v (h_id INT PRIMARY KEY, h_note "
+                      "VARCHAR(10)); CREATE TABLE line_v (l_id INT PRIMARY "
+                      "KEY, l_hdr INT)")
+                  .ok());
+  Article hdr;
+  hdr.name = "hdr_article";
+  hdr.def.base_table = "hdr";
+  hdr.def.columns = {"h_id", "h_note"};
+  ASSERT_TRUE(repl_.Subscribe(&backend_, hdr, &cache_, "hdr_v").ok());
+  Article line;
+  line.name = "line_article";
+  line.def.base_table = "line";
+  line.def.columns = {"l_id", "l_hdr"};
+  ASSERT_TRUE(repl_.Subscribe(&backend_, line, &cache_, "line_v").ok());
+  plan_.AddRule(FaultSite::kApplyChange, FaultAction::kCrash, 2);
+  ASSERT_TRUE(backend_
+                  .ExecuteScript("BEGIN TRANSACTION; "
+                                 "INSERT INTO hdr VALUES (1, 'order'); "
+                                 "INSERT INTO line VALUES (10, 1); COMMIT;")
+                  .ok());
+  auto count = [this](const std::string& table) {
+    auto r = cache_.Execute("SELECT COUNT(*) FROM " + table);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->rows[0][0].AsInt() : -1;
+  };
+  EXPECT_EQ(repl_.RunOnce(nullptr, nullptr).code(), StatusCode::kUnavailable);
+  // The whole source txn rolled back at the cache: neither view shows it,
+  // so the cache never holds a header without its line.
+  EXPECT_EQ(count("hdr_v"), 0);
+  EXPECT_EQ(count("line_v"), 0);
+  ASSERT_TRUE(DrainPipeline(&repl_, &clock_).ok());
+  EXPECT_EQ(count("hdr_v"), 1);
+  EXPECT_EQ(count("line_v"), 1);
+  EXPECT_EQ(repl_.metrics().txns_applied, 1);
+  ConsistencyReport report = ConsistencyChecker(&repl_).Check();
+  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -545,19 +593,11 @@ class RandomizedFaultHarness {
                         rng_.NextDouble() * 0.15);
     plan_.AddRandomRule(FaultSite::kLogReadStall, FaultAction::kDelay,
                         rng_.NextDouble() * 0.05);
-    // Group commit, jittered backoff, and bounded histories are part of the
-    // randomized surface: most seeds run the batched pipeline, so the fault
-    // sites at batch boundaries, mid-batch, and in the ack window fire under
-    // every knob combination.
-    repl_.set_distribution_batch_size(
-        static_cast<int>(rng_.Uniform(1, 8)));
+    // Jittered backoff and bounded histories are part of the randomized
+    // surface, so every fault site fires under both knob settings.
     repl_.set_retry_backoff(0.05, 1.0, rng_.NextDouble() * 0.5);
     repl_.set_backoff_seed(rng_.NextU64());
     if (rng_.Bernoulli(0.5)) repl_.set_history_limit(8);
-    plan_.AddRandomRule(FaultSite::kDistributeBatch, FaultAction::kCrash,
-                        rng_.NextDouble() * 0.08);
-    plan_.AddRandomRule(FaultSite::kBatchAck, FaultAction::kCrash,
-                        rng_.NextDouble() * 0.08);
     backend_.db().log().set_read_fault_hook(MakeLogReadStallHook(&plan_));
     repl_.set_fault_plan(&plan_);
   }

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <utility>
+
 #include "check/consistency.h"
+#include "common/random.h"
 #include "repl/replication.h"
 
 namespace mtcache {
@@ -223,6 +228,17 @@ TEST_F(ReplicationTest, LogTruncatedAfterDistribution) {
   EXPECT_EQ(backend_.db().log().size(), 0);
 }
 
+TEST_F(ReplicationTest, SubscriberLogRetainsNoRecords) {
+  // Nothing reads the cache's WAL, so the changes applied there leave no
+  // records behind; the publisher's log is truncated after each scan.
+  for (int i = 200; i < 210; ++i) InsertEastRow(i);
+  EXPECT_GT(backend_.db().log().size(), 0);
+  ASSERT_TRUE(repl_.RunOnce(nullptr, nullptr).ok());
+  EXPECT_EQ(repl_.metrics().txns_applied, 10);
+  EXPECT_EQ(cache_.db().log().size(), 0);
+  EXPECT_EQ(backend_.db().log().size(), 0);
+}
+
 TEST_F(ReplicationTest, PendingChangesCountsQueue) {
   ASSERT_TRUE(backend_
                   .ExecuteScript(
@@ -369,6 +385,39 @@ TEST_F(ReplicationTest, UnsubscribeStopsDeliveryAndDropsQueue) {
   EXPECT_EQ(repl_.Unsubscribe(sub_id_).code(), StatusCode::kNotFound);
 }
 
+TEST_F(ReplicationTest, VanishedTargetBlocksItsWholeStream) {
+  // A second article on the same cache shares customer_east's stream.
+  ASSERT_TRUE(cache_
+                  .ExecuteScript("CREATE TABLE customer_west (c_id INT "
+                                 "PRIMARY KEY, c_name VARCHAR(30))")
+                  .ok());
+  Article west;
+  west.name = "customer_west_article";
+  west.def.base_table = "customer";
+  west.def.columns = {"c_id", "c_name"};
+  west.def.predicates = {{"c_region", CompareOp::kEq, Value::String("west")}};
+  ASSERT_TRUE(repl_.Subscribe(&backend_, west, &cache_, "customer_west").ok());
+  ASSERT_TRUE(cache_.ExecuteScript("DROP TABLE customer_west").ok());
+  ASSERT_TRUE(backend_
+                  .ExecuteScript(
+                      "INSERT INTO customer VALUES (80, 'w', 'west', 0.0); "
+                      "INSERT INTO customer VALUES (81, 'e', 'east', 0.0)")
+                  .ok());
+  // The west txn cannot apply, and the east txn queued behind it waits:
+  // apply is transactional and in commit order, per stream.
+  Status blocked = repl_.RunOnce(nullptr, nullptr);
+  EXPECT_EQ(blocked.code(), StatusCode::kNotFound) << blocked.ToString();
+  EXPECT_EQ(CountCacheRows(), 0);
+  // The stream backs off; once the article is unsubscribed its changes
+  // leave the queue and the rest of the stream drains.
+  ASSERT_TRUE(repl_.RunOnce(nullptr, nullptr).ok());
+  EXPECT_EQ(CountCacheRows(), 0) << "retried inside the backoff window";
+  ASSERT_TRUE(repl_.Unsubscribe(sub_id_ + 1).ok());
+  clock_.Advance(repl_.backoff_max());
+  ASSERT_TRUE(repl_.RunOnce(nullptr, nullptr).ok());
+  EXPECT_EQ(CountCacheRows(), 1);
+}
+
 TEST_F(ReplicationTest, SubscribeIntoTargetWithoutPrimaryKeyRejected) {
   // Updates and deletes apply by primary key; a target without one used to
   // drop deletes and turn updates into inserts.
@@ -425,18 +474,16 @@ TEST_F(ReplicationTest, TwoSubscribersBothReceive) {
 }
 
 // ---------------------------------------------------------------------------
-// Group-commit batching, history bounding, and metrics reset.
+// Delivery units, history bounding, and metrics reset.
 // ---------------------------------------------------------------------------
 
-TEST_F(ReplicationTest, BatchedDistributionGroupsTxnsAndPropagatesEquivalently) {
-  repl_.set_distribution_batch_size(4);
+TEST_F(ReplicationTest, OneDeliveryUnitPerStreamTxn) {
   for (int i = 100; i < 110; ++i) InsertEastRow(i);
   ASSERT_TRUE(repl_.RunOnce(nullptr, nullptr).ok());
   EXPECT_EQ(CountCacheRows(), 10);
-  // 10 txns in batches of at most 4 => ceil(10/4) = 3 delivery units.
-  EXPECT_EQ(repl_.metrics().batches_distributed, 3);
-  EXPECT_EQ(repl_.metrics().batch_txns_distributed, 10);
-  EXPECT_NEAR(repl_.metrics().AvgBatchSize(), 10.0 / 3.0, 1e-9);
+  // Every source txn is its own delivery unit on the cache's stream.
+  EXPECT_EQ(repl_.metrics().batches_distributed, 10);
+  EXPECT_EQ(repl_.metrics().AvgBatchSize(), 1.0);
   EXPECT_EQ(repl_.metrics().txns_applied, 10);
   std::vector<SubscriptionInfo> subs = repl_.DescribeSubscriptions();
   ASSERT_EQ(subs.size(), 1u);
@@ -512,6 +559,28 @@ TEST_F(ReplicationTest, HistoryLimitBoundsVectorsAndKeepsInvariantCheckable) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
+TEST_F(ReplicationTest, DefaultHistoryLimitBoundsAStream) {
+  const int64_t limit = ReplicationSystem::kDefaultHistoryLimit;
+  ASSERT_EQ(repl_.history_limit(), limit);
+  ConsistencyChecker checker(&repl_);
+  // Drive the stream through more than twice the limit, in a few scans.
+  const int64_t txns = 2 * limit + 100;
+  for (int64_t i = 0; i < txns; ++i) {
+    InsertEastRow(static_cast<int>(1000 + i));
+    if ((i + 1) % 1000 == 0 || i + 1 == txns) {
+      ASSERT_TRUE(repl_.RunOnce(nullptr, nullptr).ok());
+      ConsistencyReport invariants = checker.CheckInvariants();
+      ASSERT_TRUE(invariants.ok()) << invariants.ToString();
+    }
+  }
+  std::vector<SubscriptionInfo> subs = repl_.DescribeSubscriptions();
+  ASSERT_EQ(subs.size(), 1u);
+  EXPECT_EQ(static_cast<int64_t>(subs[0].applied_txns.size()), limit);
+  EXPECT_EQ(static_cast<int64_t>(subs[0].enqueued_txns.size()), limit);
+  EXPECT_EQ(subs[0].history_trimmed, txns - limit);
+  EXPECT_EQ(CountCacheRows(), txns);
+}
+
 TEST_F(ReplicationTest, ResetMetricsClearsEveryCounter) {
   InsertEastRow(400);
   clock_.Advance(0.25);
@@ -526,11 +595,116 @@ TEST_F(ReplicationTest, ResetMetricsClearsEveryCounter) {
   EXPECT_EQ(repl_.metrics().changes_applied, 0);
   EXPECT_EQ(repl_.metrics().txns_applied, 0);
   EXPECT_EQ(repl_.metrics().batches_distributed, 0);
-  EXPECT_EQ(repl_.metrics().batch_txns_distributed, 0);
   EXPECT_EQ(repl_.metrics().AvgBatchSize(), 0.0);
   EXPECT_EQ(repl_.metrics().AvgLatency(), 0.0);
   EXPECT_EQ(repl_.metrics().lag_histogram.Count(), 0);
   EXPECT_EQ(repl_.metrics().lag_histogram.Max(), 0.0);
+}
+
+// The replication sanity gate: six published tables, six views on one cache,
+// and a seeded insert/update/delete mix that includes multi-table and
+// rolled-back transactions. After the drain every source txn that touched a
+// view was applied exactly once, as one stream txn, and the cache equals the
+// views recomputed on the backend.
+TEST(ReplicationStreamTest, SixViewMixAppliesEachSourceTxnOnce) {
+  constexpr int kTables = 6;
+  constexpr int kSteps = 400;
+  // View i keeps the rows with grp < kCut[i]; grp is drawn from [0, 2], so a
+  // cut of 3 publishes the whole table.
+  constexpr std::array<int64_t, kTables> kCut = {3, 2, 1, 3, 2, 1};
+  SimClock clock;
+  LinkedServerRegistry links;
+  Server backend(ServerOptions{"backend", "dbo", {}}, &clock, &links);
+  Server cache(ServerOptions{"cache", "dbo", {}}, &clock, &links);
+  ReplicationSystem repl(&clock);
+  for (int t = 0; t < kTables; ++t) {
+    std::string n = std::to_string(t);
+    ASSERT_TRUE(backend
+                    .ExecuteScript("CREATE TABLE t" + n +
+                                   " (id INT PRIMARY KEY, grp INT, v INT)")
+                    .ok());
+    ASSERT_TRUE(
+        cache.ExecuteScript("CREATE TABLE v" + n + " (id INT PRIMARY KEY, v INT)")
+            .ok());
+    Article article;
+    article.name = "a" + n;
+    article.def.base_table = "t" + n;
+    article.def.columns = {"id", "v"};
+    article.def.predicates = {{"grp", CompareOp::kLt, Value::Int(kCut[t])}};
+    ASSERT_TRUE(repl.Subscribe(&backend, article, &cache, "v" + n).ok());
+  }
+
+  using Rows = std::map<int64_t, std::pair<int64_t, int64_t>>;  // id->grp,v
+  std::array<Rows, kTables> model;
+  Random rng(0x5EED6);
+  int64_t next_id = 1;
+  int64_t expected_txns = 0;
+  int64_t multi_table_commits = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    const int statements = rng.Bernoulli(0.3)
+                               ? static_cast<int>(rng.Uniform(2, 4))
+                               : 1;
+    const bool commit = statements == 1 || rng.Bernoulli(0.85);
+    std::array<Rows, kTables> working = model;
+    std::string sql;
+    bool touched = false;
+    bool tables_seen[kTables] = {};
+    int tables = 0;
+    for (int s = 0; s < statements; ++s) {
+      const int t = static_cast<int>(rng.Uniform(0, kTables - 1));
+      if (!tables_seen[t]) ++tables;
+      tables_seen[t] = true;
+      const std::string table = "t" + std::to_string(t);
+      Rows& rows = working[t];
+      const int64_t kind = rows.empty() ? 0 : rng.Uniform(0, 2);
+      if (kind == 0) {
+        int64_t id = next_id++;
+        int64_t grp = rng.Uniform(0, 2);
+        int64_t v = rng.Uniform(0, 99);
+        sql += "INSERT INTO " + table + " VALUES (" + std::to_string(id) +
+               ", " + std::to_string(grp) + ", " + std::to_string(v) + "); ";
+        touched |= grp < kCut[t];
+        rows[id] = {grp, v};
+        continue;
+      }
+      auto it = rows.begin();
+      std::advance(it, rng.Uniform(0, static_cast<int64_t>(rows.size()) - 1));
+      const int64_t id = it->first;
+      touched |= it->second.first < kCut[t];
+      if (kind == 1) {
+        int64_t grp = rng.Uniform(0, 2);
+        int64_t v = it->second.second + 1 + rng.Uniform(0, 9);
+        sql += "UPDATE " + table + " SET grp = " + std::to_string(grp) +
+               ", v = " + std::to_string(v) +
+               " WHERE id = " + std::to_string(id) + "; ";
+        touched |= grp < kCut[t];
+        it->second = {grp, v};
+      } else {
+        sql += "DELETE FROM " + table + " WHERE id = " + std::to_string(id) +
+               "; ";
+        rows.erase(it);
+      }
+    }
+    if (statements > 1) {
+      sql = "BEGIN TRANSACTION; " + sql + (commit ? "COMMIT;" : "ROLLBACK;");
+    }
+    ASSERT_TRUE(backend.ExecuteScript(sql).ok()) << sql;
+    if (commit) {
+      model = std::move(working);
+      if (touched) ++expected_txns;
+      if (touched && tables > 1) ++multi_table_commits;
+    }
+    if (step % 7 == 6) {
+      clock.Advance(0.1);
+      ASSERT_TRUE(repl.RunOnce(nullptr, nullptr).ok());
+    }
+  }
+  ASSERT_TRUE(DrainPipeline(&repl, &clock).ok());
+  EXPECT_GT(multi_table_commits, 0);
+  EXPECT_EQ(repl.metrics().txns_applied, expected_txns);
+  EXPECT_EQ(repl.metrics().batches_distributed, expected_txns);
+  ConsistencyReport report = ConsistencyChecker(&repl).Check();
+  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 }  // namespace

@@ -8,6 +8,7 @@ namespace {
 class StorageTest : public ::testing::Test {
  protected:
   StorageTest() : txn_mgr_(&log_) {
+    log_.RegisterReader();  // the WAL tests below read the log back
     def_.name = "t";
     def_.schema = Schema({{"id", TypeId::kInt64, "t", false},
                           {"name", TypeId::kString, "t", true},
@@ -146,6 +147,27 @@ TEST_F(StorageTest, LogTruncation) {
   std::vector<LogRecord> recs;
   log_.ReadFrom(0, &recs);
   EXPECT_TRUE(recs.empty());
+}
+
+TEST(LogManagerTest, RetainsRecordsOnlyForARegisteredReader) {
+  LogManager log;
+  TransactionManager txn_mgr(&log);
+  auto unread = txn_mgr.Begin();
+  txn_mgr.Commit(unread.get(), 0.0);
+  // Nobody reads this log yet: the LSNs advance, the records are not kept.
+  EXPECT_EQ(log.size(), 0);
+  EXPECT_EQ(log.next_lsn(), 3);
+  // A reader starts at the end of the log and sees everything after it.
+  Lsn start = log.RegisterReader();
+  EXPECT_EQ(start, 3);
+  auto read = txn_mgr.Begin();
+  txn_mgr.Commit(read.get(), 0.0);
+  std::vector<LogRecord> recs;
+  EXPECT_EQ(log.ReadFrom(start, &recs), 5);
+  ASSERT_EQ(recs.size(), 2u);
+  EXPECT_EQ(recs[0].lsn, 3);
+  log.TruncateBefore(5);
+  EXPECT_EQ(log.size(), 0);
 }
 
 TEST_F(StorageTest, BuildIndexOnExistingData) {
