@@ -39,9 +39,11 @@
 #
 # The asan mode exercises the crash/restart paths with memory checking on:
 # replication_fault_test (incl. the 200-seed randomized schedules),
-# mtcache_resync_test, and property_test. The tsan mode runs every test
-# labeled `concurrency` (ctest -L) — the multi-session engine tests and the
-# DMV-read-during-execution tests — plus the threaded bench smoke.
+# mtcache_resync_test, property_test, and the mixed-result (Figure 3) plan
+# test, whose view-matching column walk once read out of bounds. The tsan
+# mode runs every test labeled `concurrency` (ctest -L) — the multi-session
+# engine tests and the DMV-read-during-execution tests — plus the threaded
+# bench smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,9 +67,9 @@ case "$mode" in
     cmake --preset asan
     cmake --build --preset asan -j "$(nproc)" --target \
       replication_fault_test mtcache_resync_test property_test \
-      replication_test mtcache_test dmv_smoke
+      replication_test mtcache_test engine_test dmv_smoke
     (cd build-asan && ctest --output-on-failure -j "$(nproc)" -R \
-      'ReplicationFault|MtcacheResync|ReplicationConvergence|Replication(Test|Metrics|Stream)|MTCache')
+      'ReplicationFault|MtcacheResync|ReplicationConvergence|Replication(Test|Metrics|Stream)|MTCache|EngineTest\.MixedResultPlanExecutesCorrectly')
     # The DMV walk under ASan: catches lifetime bugs in the virtual-table
     # row materialization that the plain build would miss.
     ./build-asan/examples/dmv_smoke

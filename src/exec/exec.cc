@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -458,8 +459,12 @@ class SeqScanExec : public ExecNode {
 };
 
 // Index seek. The in-range row versions are pinned (refcounted, payload-free)
-// under one shared latch at Open; folded predicate/projection are applied at
-// emission exactly as in SeqScanExec.
+// under one shared latch at Open, walking the index forward or backward, so
+// the seek reads the table as of one point in time. With a row goal
+// (`op.limit` >= 0, a Limit above reached through 1:1 Projects) the walk
+// stops after that many qualifying rows: the folded predicate is then
+// applied during the walk instead of at emission. Otherwise folded
+// predicate/projection are applied at emission exactly as in SeqScanExec.
 class IndexSeekExec : public ExecNode {
  public:
   explicit IndexSeekExec(const PhysIndexSeek& op) : op_(op) {
@@ -482,8 +487,7 @@ class IndexSeekExec : public ExecNode {
     ctx->Charge(CostModel::kIndexSeekCost);
     rows_.clear();
     pos_ = 0;
-    dead_entries_ = 0;
-    charged_tail_ = false;
+    predicate_ = op_.pushed_predicate.get();
 
     Row prefix;
     for (const BExprPtr& e : op_.eq_prefix) {
@@ -491,20 +495,29 @@ class IndexSeekExec : public ExecNode {
       if (v.is_null()) return Status::Ok();  // = NULL matches nothing
       prefix.push_back(std::move(v));
     }
-    Value hi;
-    bool has_hi = false;
+    std::optional<Value> lo;
+    std::optional<Value> hi;
+    if (op_.lo != nullptr) {
+      MT_ASSIGN_OR_RETURN(Value v, EvalBound(*op_.lo, nullptr, ctx->Eval()));
+      if (v.is_null()) return Status::Ok();
+      lo = std::move(v);
+    }
     if (op_.hi != nullptr) {
       MT_ASSIGN_OR_RETURN(Value v, EvalBound(*op_.hi, nullptr, ctx->Eval()));
       if (v.is_null()) return Status::Ok();
       hi = std::move(v);
-      has_hi = true;
     }
+    const bool back = op_.backward;
+    // The walk starts at the near end of the range (the low bound going
+    // forward, the high bound going backward) and stops at the far end.
+    const std::optional<Value>& start = back ? hi : lo;
+    const bool start_inclusive = back ? op_.hi_inclusive : op_.lo_inclusive;
+    const std::optional<Value>& stop = back ? lo : hi;
+    const bool stop_inclusive = back ? op_.lo_inclusive : op_.hi_inclusive;
     Row seek = prefix;
-    if (op_.lo != nullptr) {
-      MT_ASSIGN_OR_RETURN(Value v, EvalBound(*op_.lo, nullptr, ctx->Eval()));
-      if (v.is_null()) return Status::Ok();
-      seek.push_back(std::move(v));
-    }
+    if (start.has_value()) seek.push_back(*start);
+    const bool goal = op_.limit >= 0;
+    if (goal) predicate_ = nullptr;  // applied during the walk
 
     // Walk the in-range index entries and pin the live row versions under
     // one shared latch; the iterator never survives past this block and no
@@ -512,29 +525,46 @@ class IndexSeekExec : public ExecNode {
     SharedLatchWait latch(table->latch(), WaitSite::kTableLatchShared);
     const BPlusTree& index = table->index(op_.index_ordinal);
     BPlusTree::Iterator it;
-    if (op_.lo != nullptr) {
-      it = op_.lo_inclusive ? index.SeekGe(seek) : index.SeekGt(seek);
+    if (seek.empty()) {
+      it = back ? index.Last() : index.Begin();
+    } else if (back) {
+      it = start_inclusive ? index.SeekLe(seek) : index.SeekLt(seek);
     } else {
-      it = prefix.empty() ? index.Begin() : index.SeekGe(seek);
+      it = start_inclusive ? index.SeekGe(seek) : index.SeekGt(seek);
     }
-    for (; it.Valid(); it.Next()) {
-      const Row& key = it.key();
+    const size_t range_pos = prefix.size();
+    int64_t dead = 0;
+    int64_t rejected = 0;
+    for (; it.Valid(); back ? it.Prev() : it.Next()) {
+      if (goal && static_cast<int64_t>(rows_.size()) >= op_.limit) break;
+      const auto& key = it.key();
       // Stop when the equality prefix no longer matches.
       if (!prefix.empty() && BPlusTree::ComparePrefix(key, prefix) != 0) break;
-      if (has_hi) {
-        size_t range_pos = prefix.size();
-        if (range_pos < key.size()) {
-          int c = key[range_pos].Compare(hi);
-          if (c > 0 || (c == 0 && !op_.hi_inclusive)) break;
-        }
+      if (stop.has_value() && range_pos < key.size()) {
+        int c = key[range_pos].Compare(*stop);
+        if (back) c = -c;
+        if (c > 0 || (c == 0 && !stop_inclusive)) break;
       }
       RowId rid = it.rowid();
       if (!table->heap().IsLive(rid)) {
-        ++dead_entries_;
+        ++dead;
         continue;
       }
-      rows_.push_back(table->heap().GetRef(rid));
+      RowPtr version = table->heap().GetRef(rid);
+      if (goal && op_.pushed_predicate != nullptr) {
+        ctx->Charge(CostModel::kFilterRowCost);
+        MT_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*op_.pushed_predicate,
+                                                     version.get(), ctx->Eval()));
+        if (!pass) {
+          ++rejected;
+          continue;
+        }
+      }
+      rows_.push_back(std::move(version));
     }
+    // Pinned rows are charged when they are emitted; the entries passed
+    // over are charged here.
+    ctx->Charge(CostModel::kIndexRowCost * static_cast<double>(dead + rejected));
     return Status::Ok();
   }
 
@@ -542,10 +572,10 @@ class IndexSeekExec : public ExecNode {
     while (pos_ < rows_.size()) {
       const Row& r = *rows_[pos_++];
       ctx->Charge(CostModel::kIndexRowCost);
-      if (op_.pushed_predicate != nullptr) {
+      if (predicate_ != nullptr) {
         ctx->Charge(CostModel::kFilterRowCost);
         MT_ASSIGN_OR_RETURN(
-            bool pass, EvalPredicate(*op_.pushed_predicate, &r, ctx->Eval()));
+            bool pass, EvalPredicate(*predicate_, &r, ctx->Eval()));
         if (!pass) continue;
       }
       if (!op_.pushed_projection.empty()) {
@@ -556,7 +586,6 @@ class IndexSeekExec : public ExecNode {
       }
       return true;
     }
-    ChargeTail(ctx);
     return false;
   }
 
@@ -572,9 +601,9 @@ class IndexSeekExec : public ExecNode {
         scratch_.push_back(rows_[pos_ + i].get());
       }
       pos_ += chunk;
-      if (op_.pushed_predicate != nullptr) {
+      if (predicate_ != nullptr) {
         ctx->Charge(CostModel::kFilterRowCost * static_cast<double>(chunk));
-        MT_RETURN_IF_ERROR(EvalPredicateBatch(*op_.pushed_predicate,
+        MT_RETURN_IF_ERROR(EvalPredicateBatch(*predicate_,
                                               scratch_.data(), chunk,
                                               ctx->Eval(), &keep_,
                                               &pred_scratch_));
@@ -605,9 +634,7 @@ class IndexSeekExec : public ExecNode {
         for (const Row* r : scratch_) batch->PushRef(r);
       }
     }
-    if (batch->size() > 0) return true;
-    ChargeTail(ctx);
-    return false;
+    return batch->size() > 0;
   }
 
   bool PrepareColumnScan(ExecContext* ctx,
@@ -636,8 +663,8 @@ class IndexSeekExec : public ExecNode {
         scratch_.push_back(rows_[pos_ + i].get());
       }
       size_t out = chunk;
-      if (op_.pushed_predicate != nullptr) {
-        MT_RETURN_IF_ERROR(EvalPredicateBatch(*op_.pushed_predicate,
+      if (predicate_ != nullptr) {
+        MT_RETURN_IF_ERROR(EvalPredicateBatch(*predicate_,
                                               scratch_.data(), chunk,
                                               ctx->Eval(), &keep_,
                                               &pred_scratch_));
@@ -657,7 +684,7 @@ class IndexSeekExec : public ExecNode {
         }
       }
       ctx->Charge(CostModel::kIndexRowCost * static_cast<double>(chunk));
-      if (op_.pushed_predicate != nullptr) {
+      if (predicate_ != nullptr) {
         ctx->Charge(CostModel::kFilterRowCost * static_cast<double>(chunk));
       }
       if (!op_.pushed_projection.empty()) {
@@ -670,7 +697,6 @@ class IndexSeekExec : public ExecNode {
       BumpVectorized(ctx, batch->size);
       return true;
     }
-    ChargeTail(ctx);
     return false;
   }
 
@@ -695,18 +721,15 @@ class IndexSeekExec : public ExecNode {
     return Status::Ok();
   }
 
-  void ChargeTail(ExecContext* ctx) {
-    if (charged_tail_) return;
-    ctx->Charge(CostModel::kIndexRowCost * static_cast<double>(dead_entries_));
-    charged_tail_ = true;
-  }
-
   int SourceOrdinal(int w) const { return fast_proj_ ? proj_ords_[w] : w; }
   TypeId WantedType(int w) const {
     return fast_proj_ ? proj_types_[w] : op_.schema.column(w).type;
   }
 
   const PhysIndexSeek& op_;
+  // The folded predicate still to apply at emission: null when there is
+  // none or the walk already applied it.
+  const BoundExpr* predicate_ = nullptr;
   std::vector<RowPtr> rows_;
   std::vector<const Row*> scratch_;
   std::vector<char> keep_;
@@ -716,8 +739,6 @@ class IndexSeekExec : public ExecNode {
   std::vector<TypeId> proj_types_;  // valid iff fast_proj_
   std::vector<int> col_wanted_;
   size_t pos_ = 0;
-  int64_t dead_entries_ = 0;
-  bool charged_tail_ = false;
 };
 
 // True if the subtree contains a RemoteQuery: classifies a startup-guarded
@@ -1600,6 +1621,10 @@ class HashAggregateExec : public ExecNode {
   size_t emit_pos_ = 0;
 };
 
+// Stable sort on the sort keys. With a folded Limit (op.limit >= 0) only the
+// first `limit` rows in (sort keys, input position) order are kept, in a
+// max-heap of that size: exactly the rows, in exactly the order, that a full
+// stable sort followed by the Limit returns, in O(limit) memory.
 class SortExec : public ExecNode {
  public:
   SortExec(const PhysSort& op, std::unique_ptr<ExecNode> child)
@@ -1608,7 +1633,14 @@ class SortExec : public ExecNode {
   Status Open(ExecContext* ctx) override {
     MT_RETURN_IF_ERROR(child_->Open(ctx));
     rows_.clear();
-    std::vector<Row> keys;
+    keys_.clear();
+    seq_.clear();
+    const bool bounded = op_.limit >= 0;
+    const size_t bound = bounded ? static_cast<size_t>(op_.limit) : 0;
+    // Slots of rows_/keys_/seq_; front() is the last row in sort order.
+    std::vector<size_t> heap;
+    auto heap_less = [this](size_t a, size_t b) { return Before(a, b); };
+    int64_t seen = 0;
     MT_RETURN_IF_ERROR(
         DrainRows(child_.get(), ctx, [&](const Row& row) -> Status {
           Row key;
@@ -1616,27 +1648,45 @@ class SortExec : public ExecNode {
             MT_ASSIGN_OR_RETURN(Value v, EvalBound(*k.expr, &row, ctx->Eval()));
             key.push_back(std::move(v));
           }
-          keys.push_back(std::move(key));
-          rows_.push_back(row);
+          const int64_t pos = seen++;
+          if (!bounded || heap.size() < bound) {
+            keys_.push_back(std::move(key));
+            rows_.push_back(row);
+            seq_.push_back(pos);
+            if (bounded) {
+              heap.push_back(rows_.size() - 1);
+              std::push_heap(heap.begin(), heap.end(), heap_less);
+            }
+            return Status::Ok();
+          }
+          // A later row displaces the heap's last row only if its keys sort
+          // strictly before it: on equal keys the earlier input row wins.
+          if (bound == 0 || CompareKeys(key, keys_[heap.front()]) >= 0) {
+            return Status::Ok();
+          }
+          std::pop_heap(heap.begin(), heap.end(), heap_less);
+          const size_t slot = heap.back();
+          keys_[slot] = std::move(key);
+          rows_[slot] = row;
+          seq_[slot] = pos;
+          std::push_heap(heap.begin(), heap.end(), heap_less);
           return Status::Ok();
         }));
     child_->Close();
-    double n = std::max<double>(rows_.size(), 2);
-    ctx->Charge(CostModel::kSortRowCost * n * std::log2(n));
+    double n = std::max<double>(static_cast<double>(seen), 2);
+    double depth = bounded ? std::max<double>(std::min<double>(bound, n), 2) : n;
+    ctx->Charge(CostModel::kSortRowCost * n * std::log2(depth));
 
     std::vector<size_t> perm(rows_.size());
     for (size_t i = 0; i < perm.size(); ++i) perm[i] = i;
-    std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-      for (size_t k = 0; k < op_.keys.size(); ++k) {
-        int c = keys[a][k].Compare(keys[b][k]);
-        if (c != 0) return op_.keys[k].desc ? c > 0 : c < 0;
-      }
-      return false;
-    });
+    std::sort(perm.begin(), perm.end(),
+              [this](size_t a, size_t b) { return Before(a, b); });
     std::vector<Row> sorted;
     sorted.reserve(rows_.size());
     for (size_t i : perm) sorted.push_back(std::move(rows_[i]));
     rows_ = std::move(sorted);
+    keys_.clear();
+    seq_.clear();
     pos_ = 0;
     return Status::Ok();
   }
@@ -1662,9 +1712,25 @@ class SortExec : public ExecNode {
   int64_t MemoryBytes() const override { return RowsBytes(rows_); }
 
  private:
+  int CompareKeys(const Row& a, const Row& b) const {
+    for (size_t k = 0; k < op_.keys.size(); ++k) {
+      int c = a[k].Compare(b[k]);
+      if (c != 0) return op_.keys[k].desc ? -c : c;
+    }
+    return 0;
+  }
+
+  // Sort order of two buffered slots: keys, then input position.
+  bool Before(size_t a, size_t b) const {
+    int c = CompareKeys(keys_[a], keys_[b]);
+    return c != 0 ? c < 0 : seq_[a] < seq_[b];
+  }
+
   const PhysSort& op_;
   std::unique_ptr<ExecNode> child_;
   std::vector<Row> rows_;
+  std::vector<Row> keys_;       // parallel to rows_ while buffering
+  std::vector<int64_t> seq_;    // input position of each buffered row
   size_t pos_ = 0;
 };
 

@@ -54,9 +54,12 @@ struct CostModel {
   /// a source txn that touches several of a cache's views pays it once.
   static constexpr double kReplDeliveryOverheadCost = 30.0;
 
-  static double SortCost(double rows) {
+  /// n*log2(n) for a full sort; a Sort bounded to `limit` rows keeps a heap
+  /// of at most `limit`, so each input row costs log2(limit) instead.
+  static double SortCost(double rows, double limit = -1) {
     double n = std::max(rows, 2.0);
-    return kSortRowCost * n * std::log2(n);
+    double depth = limit < 0 ? n : std::max(std::min(limit, n), 2.0);
+    return kSortRowCost * n * std::log2(depth);
   }
   static double TransferCost(double rows, double bytes_per_row) {
     return kTransferStartup + rows * bytes_per_row * kTransferByteCost;
@@ -89,9 +92,9 @@ struct CalibratedCostModel {
   /// compile-time defaults.
   bool calibrated = false;
 
-  double SortCost(double rows) const {
-    double n = std::max(rows, 2.0);
-    return sort_row * n * std::log2(n);
+  double SortCost(double rows, double limit = -1) const {
+    return CostModel::SortCost(rows, limit) / CostModel::kSortRowCost *
+           sort_row;
   }
   double TransferCost(double rows, double bytes_per_row) const {
     return transfer_startup + rows * bytes_per_row * transfer_byte;

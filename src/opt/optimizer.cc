@@ -1,10 +1,12 @@
 #include "opt/optimizer.h"
 
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "opt/cardinality.h"
 #include "opt/cost_model.h"
@@ -288,6 +290,22 @@ std::set<int> AllColumns(const Schema& schema) {
 // Planner: top-down physical planning with the DataLocation property.
 // ---------------------------------------------------------------------------
 
+std::vector<SimpleConjunct> SimpleConjuncts(
+    const std::vector<const BoundExpr*>& conjuncts) {
+  std::vector<SimpleConjunct> simple;
+  for (const BoundExpr* c : conjuncts) {
+    SimpleConjunct sc;
+    if (ExtractSimpleConjunct(*c, &sc)) simple.push_back(sc);
+  }
+  return simple;
+}
+
+// The row-free side of a simple conjunct.
+const BoundExpr& ConjunctBound(const SimpleConjunct& sc) {
+  const auto& bin = static_cast<const BoundBinary&>(*sc.source);
+  return bin.left->kind == BoundExprKind::kColumnRef ? *bin.right : *bin.left;
+}
+
 struct PlanChoice {
   PhysicalPtr plan;
   double cost = kInf;
@@ -316,11 +334,7 @@ class Planner {
   /// Enforces DataLocation = Local: picks the cheaper of the local plan and
   /// shipping the whole subtree (RemoteQuery + transfer cost).
   StatusOr<PlanChoice> DeliverLocal(PlanResult result) {
-    double remote_total = kInf;
-    if (result.remote_ok) {
-      remote_total = result.remote_exec_cost +
-                     options_.cost_model.TransferCost(result.rows, result.row_bytes);
-    }
+    double remote_total = RemoteTotal(result);
     if (result.local_cost <= remote_total) {
       if (result.local_plan == nullptr) {
         return Status::Internal("no viable plan for subexpression");
@@ -406,11 +420,83 @@ class Planner {
   StatusOr<PlanChoice> ScanAlternatives(const LogicalGet& get,
                                         const BoundExpr* predicate);
 
+  // An index seek built from a site's simple conjuncts: equality on a key
+  // prefix, then an optional range on the next key column.
+  struct SeekShape {
+    std::unique_ptr<PhysIndexSeek> seek;  // null: the index has no bound
+    double fetched = 0;                   // estimated index entries read
+  };
+  SeekShape BuildSeek(const LogicalGet& get, int idx,
+                      const std::vector<const BoundExpr*>& conjuncts,
+                      const std::vector<SimpleConjunct>& simple,
+                      const RelStats& stats, double out_rows,
+                      bool allow_unbounded) const;
+
+  // A direct table access: Get, Filter(Get), or either under the pure
+  // column-remap / null-pad Project that view substitution wraps around it.
+  struct AccessSite {
+    const LogicalGet* get = nullptr;  // null: not a direct access
+    const BoundExpr* predicate = nullptr;
+    const LogicalProject* project = nullptr;
+    std::vector<int> out_to_inner;  // project output -> table ordinal (-1)
+    // Table ordinal behind output column `ord`, or -1.
+    int TableColumn(int ord) const {
+      if (project == nullptr) return ord;
+      if (ord < 0 || ord >= static_cast<int>(out_to_inner.size())) return -1;
+      return out_to_inner[ord];
+    }
+  };
+  AccessSite DecomposeSite(const LogicalOp& node) const;
+
+  // An index seek over `node` (a direct access) that delivers rows in `keys`
+  // order, so the Sort can go; with `row_goal` >= 0 (the Limit above) the
+  // seek stops after that many output rows, and it is costed that way. Null
+  // plan when no index supplies the order.
+  PlanChoice OrderedAccess(const LogicalOp& node,
+                           const std::vector<SortKey>& keys, int64_t row_goal);
+
+  StatusOr<PlanResult> PlanJoin(const LogicalOp& node);
+  StatusOr<PlanResult> PlanInnerBlock(const LogicalOp& node);
+  // Costs `node` (a join) over already planned children: the remote option
+  // plus the IndexNLJoin / hash / swapped-hash / nested-loop alternatives.
+  StatusOr<PlanResult> JoinChildren(const LogicalOp& node, PlanResult left,
+                                    PlanResult right);
+  // Result skeleton for `node`: estimates plus the remote option.
+  PlanResult Begin(const LogicalOp& node);
+
+  // Shipping the whole subtree: remote execution plus the transfer.
+  double RemoteTotal(const PlanResult& result) const {
+    if (!result.remote_ok) return kInf;
+    return result.remote_exec_cost +
+           options_.cost_model.TransferCost(result.rows, result.row_bytes);
+  }
+  // What DeliverLocal would pay for `result`.
+  double DeliveredCostOf(const PlanResult& result) const {
+    return std::min(result.local_cost, RemoteTotal(result));
+  }
+
   const Catalog* catalog_;
   const OptimizerOptions& options_;
   bool pretend_local_;
   int* alternatives_;
+  // Row count of a Limit waiting for a Sort below it, passed down through
+  // 1:1 Projects and consumed by the next Plan call (see kLimit).
+  int64_t sort_bound_ = -1;
 };
+
+PlanResult CloneResult(const PlanResult& r) {
+  PlanResult copy;
+  copy.local_plan = r.local_plan != nullptr ? ClonePhysical(*r.local_plan)
+                                            : nullptr;
+  copy.local_cost = r.local_cost;
+  copy.remote_ok = r.remote_ok;
+  copy.remote_server = r.remote_server;
+  copy.remote_exec_cost = r.remote_exec_cost;
+  copy.rows = r.rows;
+  copy.row_bytes = r.row_bytes;
+  copy.logical = r.logical;
+  return copy;
+}
 
 StatusOr<PlanChoice> Planner::ScanAlternatives(const LogicalGet& get,
                                                const BoundExpr* predicate) {
@@ -447,101 +533,21 @@ StatusOr<PlanChoice> Planner::ScanAlternatives(const LogicalGet& get,
 
   // --- Alternative 2..n: index seeks. ---
   if (get.def != nullptr) {
-    std::vector<SimpleConjunct> simple;
-    for (const BoundExpr* c : conjuncts) {
-      SimpleConjunct sc;
-      if (ExtractSimpleConjunct(*c, &sc)) simple.push_back(sc);
-    }
+    std::vector<SimpleConjunct> simple = SimpleConjuncts(conjuncts);
     for (size_t idx = 0; idx < get.def->indexes.size(); ++idx) {
-      const IndexDef& index = get.def->indexes[idx];
-      std::vector<const SimpleConjunct*> used;
-      std::vector<BExprPtr> eq_prefix;
-      BExprPtr lo;
-      BExprPtr hi;
-      bool lo_incl = true;
-      bool hi_incl = true;
-      for (size_t k = 0; k < index.key_columns.size(); ++k) {
-        int col = index.key_columns[k];
-        const SimpleConjunct* eq = nullptr;
-        for (const SimpleConjunct& sc : simple) {
-          if (sc.column == col && sc.op == CompareOp::kEq) {
-            eq = &sc;
-            break;
-          }
-        }
-        if (eq != nullptr) {
-          const auto& bin = static_cast<const BoundBinary&>(*eq->source);
-          // Clone the non-column side.
-          const BoundExpr* rhs =
-              bin.left->kind == BoundExprKind::kColumnRef ? bin.right.get()
-                                                          : bin.left.get();
-          if (!IsRowFree(*rhs)) break;
-          eq_prefix.push_back(CloneBound(*rhs));
-          used.push_back(eq);
-          continue;
-        }
-        // Range on this column ends the prefix.
-        for (const SimpleConjunct& sc : simple) {
-          if (sc.column != col) continue;
-          const auto& bin = static_cast<const BoundBinary&>(*sc.source);
-          const BoundExpr* rhs =
-              bin.left->kind == BoundExprKind::kColumnRef ? bin.right.get()
-                                                          : bin.left.get();
-          if (!IsRowFree(*rhs)) continue;
-          if ((sc.op == CompareOp::kGt || sc.op == CompareOp::kGe) && !lo) {
-            lo = CloneBound(*rhs);
-            lo_incl = sc.op == CompareOp::kGe;
-            used.push_back(&sc);
-          } else if ((sc.op == CompareOp::kLt || sc.op == CompareOp::kLe) &&
-                     !hi) {
-            hi = CloneBound(*rhs);
-            hi_incl = sc.op == CompareOp::kLe;
-            used.push_back(&sc);
-          }
-        }
-        break;
+      SeekShape shape =
+          BuildSeek(get, static_cast<int>(idx), conjuncts, simple, stats,
+                    out_rows, /*allow_unbounded=*/false);
+      if (shape.seek == nullptr) continue;
+      double cost = options_.cost_model.index_seek +
+                    shape.fetched * options_.cost_model.index_row;
+      if (shape.seek->pushed_predicate != nullptr) {
+        cost += shape.fetched * options_.cost_model.filter_row;
       }
-      if (eq_prefix.empty() && !lo && !hi) continue;
-
-      double seek_sel = 1.0;
-      for (const SimpleConjunct* sc : used) {
-        seek_sel *= EstimateSelectivity(*sc->source, stats);
-      }
-      double fetched = std::max(rows * seek_sel, 0.5);
-      double cost = options_.cost_model.index_seek + fetched * options_.cost_model.index_row;
-
-      auto seek = std::make_unique<PhysIndexSeek>();
-      seek->def = get.def;
-      seek->index_ordinal = static_cast<int>(idx);
-      seek->eq_prefix = std::move(eq_prefix);
-      seek->lo = std::move(lo);
-      seek->hi = std::move(hi);
-      seek->lo_inclusive = lo_incl;
-      seek->hi_inclusive = hi_incl;
-      seek->schema = get.schema;
-      seek->est_rows = fetched;
-
-      // Residual conjuncts (not used by the seek) fold into the seek too.
-      std::vector<BExprPtr> residual;
-      for (const BoundExpr* c : conjuncts) {
-        bool was_used = false;
-        for (const SimpleConjunct* sc : used) {
-          if (sc->source == c) {
-            was_used = true;
-            break;
-          }
-        }
-        if (!was_used) residual.push_back(CloneBound(*c));
-      }
-      if (!residual.empty()) {
-        cost += fetched * options_.cost_model.filter_row;
-        seek->pushed_predicate = AndTogether(std::move(residual));
-        seek->est_rows = out_rows;
-      }
-      seek->est_cost = cost;
+      shape.seek->est_cost = cost;
       ++*alternatives_;
       if (cost < best.cost) {
-        best.plan = std::move(seek);
+        best.plan = std::move(shape.seek);
         best.cost = cost;
       }
     }
@@ -549,12 +555,99 @@ StatusOr<PlanChoice> Planner::ScanAlternatives(const LogicalGet& get,
   return best;
 }
 
+Planner::SeekShape Planner::BuildSeek(
+    const LogicalGet& get, int idx,
+    const std::vector<const BoundExpr*>& conjuncts,
+    const std::vector<SimpleConjunct>& simple, const RelStats& stats,
+    double out_rows, bool allow_unbounded) const {
+  const IndexDef& index = get.def->indexes[idx];
+  std::vector<const SimpleConjunct*> used;
+  std::vector<BExprPtr> eq_prefix;
+  BExprPtr lo;
+  BExprPtr hi;
+  bool lo_incl = true;
+  bool hi_incl = true;
+  for (size_t k = 0; k < index.key_columns.size(); ++k) {
+    int col = index.key_columns[k];
+    const SimpleConjunct* eq = nullptr;
+    for (const SimpleConjunct& sc : simple) {
+      if (sc.column == col && sc.op == CompareOp::kEq) {
+        eq = &sc;
+        break;
+      }
+    }
+    if (eq != nullptr) {
+      const BoundExpr& rhs = ConjunctBound(*eq);
+      if (!IsRowFree(rhs)) break;
+      eq_prefix.push_back(CloneBound(rhs));
+      used.push_back(eq);
+      continue;
+    }
+    // Range on this column ends the prefix.
+    for (const SimpleConjunct& sc : simple) {
+      if (sc.column != col) continue;
+      const BoundExpr& rhs = ConjunctBound(sc);
+      if (!IsRowFree(rhs)) continue;
+      if ((sc.op == CompareOp::kGt || sc.op == CompareOp::kGe) && !lo) {
+        lo = CloneBound(rhs);
+        lo_incl = sc.op == CompareOp::kGe;
+        used.push_back(&sc);
+      } else if ((sc.op == CompareOp::kLt || sc.op == CompareOp::kLe) &&
+                 !hi) {
+        hi = CloneBound(rhs);
+        hi_incl = sc.op == CompareOp::kLe;
+        used.push_back(&sc);
+      }
+    }
+    break;
+  }
+  SeekShape shape;
+  if (eq_prefix.empty() && !lo && !hi && !allow_unbounded) return shape;
+
+  double rows = stats.rows;
+  double seek_sel = 1.0;
+  for (const SimpleConjunct* sc : used) {
+    seek_sel *= EstimateSelectivity(*sc->source, stats);
+  }
+  shape.fetched = std::max(rows * seek_sel, 0.5);
+
+  auto seek = std::make_unique<PhysIndexSeek>();
+  seek->def = get.def;
+  seek->index_ordinal = idx;
+  seek->eq_prefix = std::move(eq_prefix);
+  seek->lo = std::move(lo);
+  seek->hi = std::move(hi);
+  seek->lo_inclusive = lo_incl;
+  seek->hi_inclusive = hi_incl;
+  seek->schema = get.schema;
+  seek->est_rows = shape.fetched;
+
+  // Residual conjuncts (not used by the seek) fold into the seek too.
+  std::vector<BExprPtr> residual;
+  for (const BoundExpr* c : conjuncts) {
+    bool was_used = false;
+    for (const SimpleConjunct* sc : used) {
+      if (sc->source == c) {
+        was_used = true;
+        break;
+      }
+    }
+    if (!was_used) residual.push_back(CloneBound(*c));
+  }
+  if (!residual.empty()) {
+    seek->pushed_predicate = AndTogether(std::move(residual));
+    seek->est_rows = out_rows;
+  }
+  shape.seek = std::move(seek);
+  return shape;
+}
+
 StatusOr<PlanChoice> Planner::PlanSite(const LogicalGet& get,
                                        const BoundExpr* predicate) {
   return ScanAlternatives(get, predicate);
 }
 
-StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
+PlanResult Planner::Begin(const LogicalOp& node) {
   PlanResult result;
   result.logical = &node;
   RelStats stats = EstimateLogical(node);
@@ -580,6 +673,13 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
       result.remote_exec_cost = *cost * options_.remote_cost_factor;
     }
   }
+  return result;
+}
+
+StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
+  const int64_t bound = std::exchange(sort_bound_, -1);
+  if (node.kind == LogicalKind::kJoin) return PlanJoin(node);
+  PlanResult result = Begin(node);
 
   // Local option.
   switch (node.kind) {
@@ -629,9 +729,14 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
     }
     case LogicalKind::kProject: {
       const auto& project = static_cast<const LogicalProject&>(node);
+      sort_bound_ = bound;  // a Project keeps the row count
       MT_ASSIGN_OR_RETURN(PlanResult child, Plan(*node.children[0]));
       MT_ASSIGN_OR_RETURN(PlanChoice delivered, DeliverLocal(std::move(child)));
-      double cost = delivered.cost + result.rows * options_.cost_model.project_row;
+      // Under a Limit only the first `bound` rows are ever projected.
+      double projected =
+          bound >= 0 ? std::min(result.rows, static_cast<double>(bound))
+                     : result.rows;
+      double cost = delivered.cost + projected * options_.cost_model.project_row;
       // Fold the projection into a local scan directly below: qualifying
       // rows are rewritten at the scan and intermediate full-width rows are
       // never produced. Expressions stay valid because a (possibly
@@ -643,8 +748,19 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
       } else if (dp->kind == PhysicalKind::kIndexSeek) {
         slot = &static_cast<PhysIndexSeek*>(dp)->pushed_projection;
       }
-      if (slot != nullptr && slot->empty()) {
-        for (const auto& e : project.exprs) slot->push_back(CloneBound(*e));
+      // A projection the scan already applies (view substitution's column
+      // remap) composes with this one, so only the columns this Project
+      // keeps are ever copied.
+      std::vector<BExprPtr> folded;
+      bool composed = slot != nullptr;
+      for (const auto& e : project.exprs) {
+        if (!composed) break;
+        folded.push_back(slot->empty()
+                             ? CloneBound(*e)
+                             : SubstituteThroughProject(*e, *slot, &composed));
+      }
+      if (composed) {
+        *slot = std::move(folded);
         dp->schema = node.schema;
         dp->est_rows = result.rows;
         dp->est_cost = cost;
@@ -662,278 +778,8 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
       result.local_cost = cost;
       return result;
     }
-    case LogicalKind::kJoin: {
-      const auto& join = static_cast<const LogicalJoin&>(node);
-      MT_ASSIGN_OR_RETURN(PlanResult left, Plan(*node.children[0]));
-      MT_ASSIGN_OR_RETURN(PlanResult right, Plan(*node.children[1]));
-      double left_rows = left.rows;
-      double right_rows = right.rows;
-      MT_ASSIGN_OR_RETURN(PlanChoice lplan, DeliverLocal(std::move(left)));
-      MT_ASSIGN_OR_RETURN(PlanChoice rplan, DeliverLocal(std::move(right)));
-
-      int left_width = node.children[0]->schema.num_columns();
-      // Extract equi-join keys crossing the boundary.
-      std::vector<int> probe_keys;
-      std::vector<int> build_keys;
-      std::vector<BExprPtr> residual;
-      if (join.condition != nullptr) {
-        std::vector<const BoundExpr*> conjuncts;
-        CollectConjuncts(*join.condition, &conjuncts);
-        for (const BoundExpr* c : conjuncts) {
-          bool is_key = false;
-          if (c->kind == BoundExprKind::kBinary) {
-            const auto& bin = static_cast<const BoundBinary&>(*c);
-            if (bin.op == BinaryOp::kEq &&
-                bin.left->kind == BoundExprKind::kColumnRef &&
-                bin.right->kind == BoundExprKind::kColumnRef) {
-              int a = static_cast<const BoundColumnRef&>(*bin.left).ordinal;
-              int b = static_cast<const BoundColumnRef&>(*bin.right).ordinal;
-              if (a < left_width && b >= left_width) {
-                probe_keys.push_back(a);
-                build_keys.push_back(b - left_width);
-                is_key = true;
-              } else if (b < left_width && a >= left_width) {
-                probe_keys.push_back(b);
-                build_keys.push_back(a - left_width);
-                is_key = true;
-              }
-            }
-          }
-          if (!is_key) residual.push_back(CloneBound(*c));
-        }
-      }
-
-      // Alternative: index nested-loop join, when the inner (right) side is
-      // a scannable (possibly filtered) table with an index led by the join
-      // column. This is how point joins (item->author etc.) should run.
-      struct InnerAccess {
-        const LogicalGet* get = nullptr;
-        const BoundExpr* predicate = nullptr;
-        const LogicalProject* project = nullptr;
-        std::vector<int> out_to_inner;  // project output -> inner ordinal
-      };
-      InnerAccess inner;
-      {
-        const LogicalOp* right_node = node.children[1].get();
-        // See through a pure remap/null-pad Project (view substitution).
-        if (right_node->kind == LogicalKind::kProject) {
-          const auto* project =
-              static_cast<const LogicalProject*>(right_node);
-          bool pure = true;
-          std::vector<int> mapping;
-          for (const auto& e : project->exprs) {
-            if (e->kind == BoundExprKind::kColumnRef) {
-              mapping.push_back(
-                  static_cast<const BoundColumnRef&>(*e).ordinal);
-            } else if (e->kind == BoundExprKind::kLiteral) {
-              mapping.push_back(-1);
-            } else {
-              pure = false;
-              break;
-            }
-          }
-          if (pure) {
-            inner.project = project;
-            inner.out_to_inner = std::move(mapping);
-            right_node = right_node->children[0].get();
-          }
-        }
-        if (right_node->kind == LogicalKind::kFilter &&
-            right_node->children[0]->kind == LogicalKind::kGet) {
-          inner.predicate =
-              static_cast<const LogicalFilter*>(right_node)->predicate.get();
-          right_node = right_node->children[0].get();
-        }
-        if (right_node->kind == LogicalKind::kGet) {
-          const auto& get = static_cast<const LogicalGet&>(*right_node);
-          if (!get.table.empty() && LocallyPlannable(get) &&
-              get.def != nullptr) {
-            inner.get = &get;
-          }
-        }
-      }
-      PhysicalPtr inlj_plan;
-      double inlj_cost = kInf;
-      if (inner.get != nullptr && !probe_keys.empty()) {
-        for (size_t idx = 0; idx < inner.get->def->indexes.size(); ++idx) {
-          const IndexDef& index = inner.get->def->indexes[idx];
-          for (size_t k = 0; k < probe_keys.size(); ++k) {
-            // Map the join key through the projection, if any.
-            int inner_key = build_keys[k];
-            if (inner.project != nullptr) {
-              if (inner_key >= static_cast<int>(inner.out_to_inner.size()) ||
-                  inner.out_to_inner[inner_key] < 0) {
-                continue;
-              }
-              inner_key = inner.out_to_inner[inner_key];
-            }
-            if (index.key_columns.empty() ||
-                index.key_columns[0] != inner_key) {
-              continue;
-            }
-            RelStats inner_stats = EstimateLogical(*inner.get);
-            double ndv = 1;
-            if (inner_key >= 0 &&
-                inner_key < static_cast<int>(inner_stats.cols.size())) {
-              ndv = std::max(inner_stats.cols[inner_key].ndv, 1.0);
-            }
-            double per_probe = inner_stats.rows / ndv;
-            double pred_sel =
-                inner.predicate != nullptr
-                    ? EstimateSelectivity(*inner.predicate, inner_stats)
-                    : 1.0;
-            double cost =
-                lplan.cost +
-                left_rows * (options_.cost_model.index_seek +
-                             per_probe * (options_.cost_model.index_row +
-                                          options_.cost_model.filter_row));
-            ++*alternatives_;
-            if (cost >= inlj_cost) continue;
-            auto phys = std::make_unique<PhysIndexNLJoin>();
-            phys->join_kind = join.join_kind;
-            phys->inner_def = inner.get->def;
-            phys->index_ordinal = static_cast<int>(idx);
-            phys->outer_key = probe_keys[k];
-            phys->inner_predicate = inner.predicate != nullptr
-                                        ? CloneBound(*inner.predicate)
-                                        : nullptr;
-            if (inner.project != nullptr) {
-              for (const auto& e : inner.project->exprs) {
-                phys->inner_projection.push_back(CloneBound(*e));
-              }
-            }
-            // Residual: every other join conjunct (including other key
-            // equalities) evaluated over the concatenated row.
-            std::vector<BExprPtr> inlj_residual;
-            for (const auto& r : residual) {
-              inlj_residual.push_back(CloneBound(*r));
-            }
-            for (size_t j = 0; j < probe_keys.size(); ++j) {
-              if (j == k) continue;
-              inlj_residual.push_back(std::make_unique<BoundBinary>(
-                  BinaryOp::kEq,
-                  std::make_unique<BoundColumnRef>(probe_keys[j],
-                                                   TypeId::kNull, "lk"),
-                  std::make_unique<BoundColumnRef>(build_keys[j] + left_width,
-                                                   TypeId::kNull, "rk"),
-                  TypeId::kBool));
-            }
-            phys->residual = AndTogether(std::move(inlj_residual));
-            phys->schema = node.schema;
-            phys->est_rows = result.rows * pred_sel;
-            phys->est_cost = cost;
-            // The plan owns only the outer child; lplan was moved for the
-            // first alternative, so clone via re-plan is avoided by deciding
-            // before moving (see ordering below).
-            inlj_plan = std::move(phys);
-            inlj_cost = cost;
-            break;
-          }
-        }
-      }
-
-      ++*alternatives_;
-      if (!probe_keys.empty()) {
-        double hash_cost = lplan.cost + rplan.cost +
-                           right_rows * options_.cost_model.hash_build_row +
-                           left_rows * options_.cost_model.hash_probe_row +
-                           result.rows * options_.cost_model.filter_row;
-        // Commuted alternative (inner joins only): build on the LEFT input
-        // and probe with the right, restoring column order with a Project.
-        double swapped_cost = kInf;
-        if (join.join_kind == JoinKind::kInner) {
-          ++*alternatives_;
-          swapped_cost = lplan.cost + rplan.cost +
-                         left_rows * options_.cost_model.hash_build_row +
-                         right_rows * options_.cost_model.hash_probe_row +
-                         result.rows *
-                             (options_.cost_model.filter_row +
-                              options_.cost_model.project_row);
-        }
-        if (inlj_plan != nullptr && inlj_cost < hash_cost &&
-            inlj_cost < swapped_cost) {
-          inlj_plan->children.push_back(std::move(lplan.plan));
-          result.local_plan = std::move(inlj_plan);
-          result.local_cost = inlj_cost;
-          return result;
-        }
-        if (swapped_cost < hash_cost) {
-          int right_width = node.children[1]->schema.num_columns();
-          auto phys = std::make_unique<PhysHashJoin>();
-          phys->join_kind = JoinKind::kInner;
-          // Probe = right input, build = left input; keys swap roles and the
-          // residual's ordinals are remapped to (right, left) order.
-          phys->probe_keys = build_keys;
-          phys->build_keys = probe_keys;
-          std::vector<BExprPtr> swapped_residual;
-          for (auto& r : residual) {
-            // old ordinal o: o < left_width -> o + right_width (left now
-            // second); else o - left_width (right now first).
-            std::vector<int> mapping(left_width + right_width);
-            for (int o = 0; o < left_width; ++o) mapping[o] = o + right_width;
-            for (int o = 0; o < right_width; ++o) {
-              mapping[left_width + o] = o;
-            }
-            BExprPtr copy = CloneBound(*r);
-            RemapColumnRefs(copy.get(), mapping);
-            swapped_residual.push_back(std::move(copy));
-          }
-          phys->residual = AndTogether(std::move(swapped_residual));
-          phys->schema =
-              Schema::Concat(node.children[1]->schema, node.children[0]->schema);
-          phys->est_rows = result.rows;
-          phys->est_cost = swapped_cost;
-          phys->children.push_back(std::move(rplan.plan));  // probe
-          phys->children.push_back(std::move(lplan.plan));  // build
-          // Restore (left, right) column order for the parent.
-          auto project = std::make_unique<PhysProject>();
-          for (int o = 0; o < left_width; ++o) {
-            const ColumnInfo& col = node.children[0]->schema.column(o);
-            project->exprs.push_back(std::make_unique<BoundColumnRef>(
-                right_width + o, col.type, col.name));
-          }
-          for (int o = 0; o < right_width; ++o) {
-            const ColumnInfo& col = node.children[1]->schema.column(o);
-            project->exprs.push_back(
-                std::make_unique<BoundColumnRef>(o, col.type, col.name));
-          }
-          project->schema = node.schema;
-          project->est_rows = result.rows;
-          project->est_cost = swapped_cost;
-          project->children.push_back(std::move(phys));
-          result.local_plan = std::move(project);
-          result.local_cost = swapped_cost;
-          return result;
-        }
-        auto phys = std::make_unique<PhysHashJoin>();
-        phys->join_kind = join.join_kind;
-        phys->probe_keys = std::move(probe_keys);
-        phys->build_keys = std::move(build_keys);
-        phys->residual = AndTogether(std::move(residual));
-        phys->schema = node.schema;
-        phys->est_rows = result.rows;
-        phys->est_cost = hash_cost;
-        phys->children.push_back(std::move(lplan.plan));
-        phys->children.push_back(std::move(rplan.plan));
-        result.local_plan = std::move(phys);
-        result.local_cost = hash_cost;
-      } else {
-        double cost = lplan.cost + rplan.cost +
-                      left_rows * right_rows * options_.cost_model.nl_inner_row;
-        auto phys = std::make_unique<PhysNLJoin>();
-        phys->join_kind = join.join_kind;
-        phys->condition =
-            join.condition != nullptr ? CloneBound(*join.condition) : nullptr;
-        phys->schema = node.schema;
-        phys->est_rows = result.rows;
-        phys->est_cost = cost;
-        phys->children.push_back(std::move(lplan.plan));
-        phys->children.push_back(std::move(rplan.plan));
-        result.local_plan = std::move(phys);
-        result.local_cost = cost;
-      }
-      return result;
-    }
+    case LogicalKind::kJoin:
+      break;  // PlanJoin
     case LogicalKind::kAggregate: {
       const auto& agg = static_cast<const LogicalAggregate&>(node);
       MT_ASSIGN_OR_RETURN(PlanResult child, Plan(*node.children[0]));
@@ -959,11 +805,21 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
       return result;
     }
     case LogicalKind::kSort: {
+      // With a Limit above (bound >= 0) the Sort keeps only the first
+      // `bound` rows; an index that delivers the order replaces it.
       const auto& sort = static_cast<const LogicalSort&>(node);
       MT_ASSIGN_OR_RETURN(PlanResult child, Plan(*node.children[0]));
       double child_rows = child.rows;
       MT_ASSIGN_OR_RETURN(PlanChoice delivered, DeliverLocal(std::move(child)));
-      double cost = delivered.cost + options_.cost_model.SortCost(child_rows);
+      double cost =
+          delivered.cost + options_.cost_model.SortCost(child_rows, bound);
+      PlanChoice ordered =
+          OrderedAccess(*node.children[0], sort.keys, bound);
+      if (ordered.plan != nullptr && ordered.cost < cost) {
+        result.local_plan = std::move(ordered.plan);
+        result.local_cost = ordered.cost;
+        return result;
+      }
       auto phys = std::make_unique<PhysSort>();
       for (const auto& k : sort.keys) {
         SortKey key;
@@ -971,8 +827,11 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
         key.desc = k.desc;
         phys->keys.push_back(std::move(key));
       }
+      phys->limit = bound;
       phys->schema = node.schema;
-      phys->est_rows = result.rows;
+      phys->est_rows =
+          bound >= 0 ? std::min(result.rows, static_cast<double>(bound))
+                     : result.rows;
       phys->est_cost = cost;
       phys->children.push_back(std::move(delivered.plan));
       result.local_plan = std::move(phys);
@@ -981,8 +840,21 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
     }
     case LogicalKind::kLimit: {
       const auto& limit = static_cast<const LogicalLimit&>(node);
+      sort_bound_ = limit.limit;
       MT_ASSIGN_OR_RETURN(PlanResult child, Plan(*node.children[0]));
       MT_ASSIGN_OR_RETURN(PlanChoice delivered, DeliverLocal(std::move(child)));
+      // A Sort reached through Projects took the limit as its bound: the
+      // Limit is folded into it.
+      const PhysicalOp* below = delivered.plan.get();
+      while (below->kind == PhysicalKind::kProject) {
+        below = below->children[0].get();
+      }
+      if (below->kind == PhysicalKind::kSort &&
+          static_cast<const PhysSort*>(below)->limit == limit.limit) {
+        result.local_plan = std::move(delivered.plan);
+        result.local_cost = delivered.cost;
+        return result;
+      }
       auto phys = std::make_unique<PhysLimit>();
       phys->limit = limit.limit;
       phys->schema = node.schema;
@@ -1084,6 +956,555 @@ StatusOr<PlanResult> Planner::Plan(const LogicalOp& node) {
     }
   }
   return Status::Internal("unhandled logical operator");
+}
+
+Planner::AccessSite Planner::DecomposeSite(const LogicalOp& node) const {
+  AccessSite site;
+  const LogicalOp* n = &node;
+  // See through a pure remap/null-pad Project (view substitution).
+  if (n->kind == LogicalKind::kProject) {
+    const auto* project = static_cast<const LogicalProject*>(n);
+    std::vector<int> mapping;
+    for (const auto& e : project->exprs) {
+      if (e->kind == BoundExprKind::kColumnRef) {
+        mapping.push_back(static_cast<const BoundColumnRef&>(*e).ordinal);
+      } else if (e->kind == BoundExprKind::kLiteral) {
+        mapping.push_back(-1);
+      } else {
+        return site;
+      }
+    }
+    site.project = project;
+    site.out_to_inner = std::move(mapping);
+    n = n->children[0].get();
+  }
+  if (n->kind == LogicalKind::kFilter &&
+      n->children[0]->kind == LogicalKind::kGet) {
+    site.predicate = static_cast<const LogicalFilter*>(n)->predicate.get();
+    n = n->children[0].get();
+  }
+  if (n->kind == LogicalKind::kGet) {
+    const auto& get = static_cast<const LogicalGet&>(*n);
+    if (!get.table.empty() && LocallyPlannable(get) && get.def != nullptr) {
+      site.get = &get;
+    }
+  }
+  return site;
+}
+
+PlanChoice Planner::OrderedAccess(const LogicalOp& node,
+                                  const std::vector<SortKey>& keys,
+                                  int64_t row_goal) {
+  PlanChoice best;
+  AccessSite site = DecomposeSite(node);
+  if (site.get == nullptr || keys.empty()) return best;
+  const LogicalGet& get = *site.get;
+  // Every key a column of the table, all in one direction.
+  std::vector<int> key_cols;
+  for (const SortKey& k : keys) {
+    if (k.expr->kind != BoundExprKind::kColumnRef || k.desc != keys[0].desc) {
+      return best;
+    }
+    int col = site.TableColumn(static_cast<const BoundColumnRef&>(*k.expr).ordinal);
+    if (col < 0) return best;
+    key_cols.push_back(col);
+  }
+  RelStats stats = EstimateLogical(get);
+  double rows = stats.rows;
+  double total_sel = site.predicate != nullptr
+                         ? EstimateSelectivity(*site.predicate, stats)
+                         : 1.0;
+  double out_rows = std::max(rows * total_sel, 0.5);
+  std::vector<const BoundExpr*> conjuncts;
+  if (site.predicate != nullptr) CollectConjuncts(*site.predicate, &conjuncts);
+  std::vector<SimpleConjunct> simple = SimpleConjuncts(conjuncts);
+
+  for (size_t idx = 0; idx < get.def->indexes.size(); ++idx) {
+    const IndexDef& index = get.def->indexes[idx];
+    SeekShape shape = BuildSeek(get, static_cast<int>(idx), conjuncts, simple,
+                                stats, out_rows, /*allow_unbounded=*/true);
+    // The seek delivers key order from the first column past its equality
+    // prefix; the sort keys must be a prefix of that order.
+    size_t first = shape.seek->eq_prefix.size();
+    if (first + key_cols.size() > index.key_columns.size()) continue;
+    if (!std::equal(key_cols.begin(), key_cols.end(),
+                    index.key_columns.begin() + first)) {
+      continue;
+    }
+    // Under a row goal only the entries that yield the first `row_goal`
+    // output rows are read.
+    double residual_sel = std::min(out_rows / shape.fetched, 1.0);
+    double touched = shape.fetched;
+    if (row_goal >= 0) {
+      touched = std::min(
+          touched, std::max(static_cast<double>(row_goal), 1.0) / residual_sel);
+    }
+    double cost = options_.cost_model.index_seek +
+                  touched * options_.cost_model.index_row;
+    if (shape.seek->pushed_predicate != nullptr) {
+      cost += touched * options_.cost_model.filter_row;
+    }
+    if (site.project != nullptr) {
+      cost += touched * residual_sel * options_.cost_model.project_row;
+      for (const auto& e : site.project->exprs) {
+        shape.seek->pushed_projection.push_back(CloneBound(*e));
+      }
+      shape.seek->schema = node.schema;
+    }
+    shape.seek->backward = keys[0].desc;
+    shape.seek->limit = row_goal;
+    shape.seek->est_cost = cost;
+    ++*alternatives_;
+    if (cost < best.cost) {
+      best.plan = std::move(shape.seek);
+      best.cost = cost;
+    }
+  }
+  return best;
+}
+
+StatusOr<PlanResult> Planner::PlanJoin(const LogicalOp& node) {
+  const auto& join = static_cast<const LogicalJoin&>(node);
+  if (join.join_kind == JoinKind::kInner) return PlanInnerBlock(node);
+  MT_ASSIGN_OR_RETURN(PlanResult left, Plan(*node.children[0]));
+  MT_ASSIGN_OR_RETURN(PlanResult right, Plan(*node.children[1]));
+  return JoinChildren(node, std::move(left), std::move(right));
+}
+
+namespace {
+
+// Joins above this many relations keep FROM order: the dynamic program
+// visits up to 2^n subsets.
+constexpr int kMaxReorderRelations = 6;
+
+// A maximal block of inner joins flattened into its relations (in FROM
+// order) and its join conjuncts, over the block's FROM-order output.
+struct JoinBlock {
+  std::vector<const LogicalOp*> leaves;
+  std::vector<int> offset;  // first output column of each leaf
+  std::vector<BExprPtr> conjuncts;
+  std::vector<uint32_t> conjunct_leaves;  // leaves each conjunct references
+
+  void Flatten(const LogicalOp& node, int at) {
+    if (node.kind == LogicalKind::kJoin &&
+        static_cast<const LogicalJoin&>(node).join_kind == JoinKind::kInner) {
+      Flatten(*node.children[0], at);
+      Flatten(*node.children[1],
+              at + node.children[0]->schema.num_columns());
+      const BExprPtr& cond = static_cast<const LogicalJoin&>(node).condition;
+      if (cond == nullptr) return;
+      std::vector<const BoundExpr*> parts;
+      CollectConjuncts(*cond, &parts);
+      for (const BoundExpr* p : parts) {
+        BExprPtr c = CloneBound(*p);
+        ShiftColumnRefs(c.get(), at);
+        conjuncts.push_back(std::move(c));
+      }
+      return;
+    }
+    leaves.push_back(&node);
+    offset.push_back(at);
+  }
+
+  int LeafOf(int column) const {
+    int leaf = 0;
+    while (leaf + 1 < static_cast<int>(offset.size()) &&
+           offset[leaf + 1] <= column) {
+      ++leaf;
+    }
+    return leaf;
+  }
+
+  void IndexConjuncts() {
+    for (const BExprPtr& c : conjuncts) {
+      std::vector<int> refs;
+      CollectColumnRefs(*c, &refs);
+      uint32_t mask = 0;
+      for (int r : refs) mask |= 1u << LeafOf(r);
+      conjunct_leaves.push_back(mask);
+    }
+  }
+
+  // True iff some conjunct joins leaf `j` to the relations in `set` and
+  // references nothing else.
+  bool Connects(uint32_t set, int j) const {
+    const uint32_t with = set | (1u << j);
+    for (uint32_t m : conjunct_leaves) {
+      if ((m & (1u << j)) != 0 && (m & set) != 0 && (m & ~with) == 0) {
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
+// One left-deep join order over a subset of a block's relations: the
+// logical tree (columns in join order) and its planned result.
+struct OrderedJoin {
+  std::vector<int> order;
+  LogicalPtr tree;
+  PlanResult result;
+  double delivered = kInf;
+};
+
+// Block output column -> column of a tree that joins `order`.
+std::vector<int> OrderColumns(const JoinBlock& block,
+                              const std::vector<int>& order) {
+  int width = 0;
+  for (const LogicalOp* leaf : block.leaves) {
+    width += leaf->schema.num_columns();
+  }
+  std::vector<int> to_tree(width, -1);
+  int at = 0;
+  for (int leaf : order) {
+    int n = block.leaves[leaf]->schema.num_columns();
+    for (int c = 0; c < n; ++c) to_tree[block.offset[leaf] + c] = at + c;
+    at += n;
+  }
+  return to_tree;
+}
+
+}  // namespace
+
+// Inner-join ordering: a left-deep dynamic program over the connected
+// subsets of the block's relations, memoized per subset. Each extension
+// S -> S + {j} is costed by JoinChildren with j on the inner side, so it sees
+// every IndexNLJoin / hash / swapped-hash alternative and the DataLocation
+// (remote) option of the joined subset. The FROM-order plan is kept unless a
+// reordered one, plus the Project that restores FROM column order, is
+// strictly cheaper.
+StatusOr<PlanResult> Planner::PlanInnerBlock(const LogicalOp& node) {
+  JoinBlock block;
+  block.Flatten(node, 0);
+  const int n = static_cast<int>(block.leaves.size());
+  std::vector<PlanResult> leaves;
+  for (const LogicalOp* leaf : block.leaves) {
+    MT_ASSIGN_OR_RETURN(PlanResult r, Plan(*leaf));
+    leaves.push_back(std::move(r));
+  }
+
+  // The block as bound: left-deep in FROM order.
+  int next_leaf = 0;
+  std::function<StatusOr<PlanResult>(const LogicalOp&)> from_order =
+      [&](const LogicalOp& op) -> StatusOr<PlanResult> {
+    if (op.kind != LogicalKind::kJoin ||
+        static_cast<const LogicalJoin&>(op).join_kind != JoinKind::kInner) {
+      return CloneResult(leaves[next_leaf++]);
+    }
+    MT_ASSIGN_OR_RETURN(PlanResult left, from_order(*op.children[0]));
+    MT_ASSIGN_OR_RETURN(PlanResult right, from_order(*op.children[1]));
+    return JoinChildren(op, std::move(left), std::move(right));
+  };
+  MT_ASSIGN_OR_RETURN(PlanResult result, from_order(node));
+  if (!options_.reorder_joins || n > kMaxReorderRelations ||
+      result.local_plan == nullptr) {
+    return result;
+  }
+
+  block.IndexConjuncts();
+  const uint32_t all = (1u << n) - 1;
+  std::vector<std::optional<OrderedJoin>> memo(all + 1);
+  for (int i = 0; i < n; ++i) {
+    OrderedJoin& single = memo[1u << i].emplace();
+    single.order = {i};
+    single.tree = CloneLogical(*block.leaves[i]);
+    single.result = CloneResult(leaves[i]);
+    single.result.logical = single.tree.get();
+    single.delivered = DeliveredCostOf(single.result);
+  }
+  // Removing a relation lowers the mask, so every subset's memo entries are
+  // final before the subset is extended.
+  for (uint32_t set = 1; set <= all; ++set) {
+    if ((set & (set - 1)) == 0) continue;  // single relation
+    for (int j = 0; j < n; ++j) {
+      const uint32_t rest = set & ~(1u << j);
+      if ((set & (1u << j)) == 0 || !memo[rest].has_value() ||
+          !block.Connects(rest, j)) {
+        continue;
+      }
+      const OrderedJoin& left = *memo[rest];
+      OrderedJoin cand;
+      cand.order = left.order;
+      cand.order.push_back(j);
+      // Conjuncts that become evaluable here; on the first join that
+      // includes those over a single relation.
+      std::vector<int> to_tree = OrderColumns(block, cand.order);
+      std::vector<BExprPtr> conds;
+      for (size_t k = 0; k < block.conjuncts.size(); ++k) {
+        uint32_t m = block.conjunct_leaves[k];
+        bool first_join = left.order.size() == 1;
+        if ((m & ~set) != 0 || ((m & ~rest) == 0 && !first_join)) continue;
+        BExprPtr c = CloneBound(*block.conjuncts[k]);
+        RemapColumnRefs(c.get(), to_tree);
+        conds.push_back(std::move(c));
+      }
+      auto join = std::make_unique<LogicalJoin>();
+      join->condition = AndTogether(std::move(conds));
+      join->children.push_back(CloneLogical(*left.tree));
+      join->children.push_back(CloneLogical(*block.leaves[j]));
+      join->schema = Schema::Concat(join->children[0]->schema,
+                                    join->children[1]->schema);
+      PlanResult lres = CloneResult(left.result);
+      lres.logical = join->children[0].get();
+      PlanResult rres = CloneResult(leaves[j]);
+      rres.logical = join->children[1].get();
+      MT_ASSIGN_OR_RETURN(cand.result,
+                          JoinChildren(*join, std::move(lres), std::move(rres)));
+      cand.tree = std::move(join);
+      cand.delivered = DeliveredCostOf(cand.result);
+      if (!memo[set].has_value() || cand.delivered < memo[set]->delivered) {
+        memo[set] = std::move(cand);
+      }
+    }
+  }
+  if (!memo[all].has_value() || memo[all]->result.local_plan == nullptr) {
+    return result;
+  }
+  OrderedJoin& best = *memo[all];
+  bool from_order_kept = true;
+  for (int i = 0; i < n; ++i) from_order_kept &= best.order[i] == i;
+  double restore_cost = result.rows * options_.cost_model.project_row;
+  if (from_order_kept ||
+      best.result.local_cost + restore_cost >= result.local_cost) {
+    return result;
+  }
+  // Restore FROM column order for the parent.
+  std::vector<int> to_tree = OrderColumns(block, best.order);
+  auto project = std::make_unique<PhysProject>();
+  for (int c = 0; c < node.schema.num_columns(); ++c) {
+    const ColumnInfo& col = node.schema.column(c);
+    project->exprs.push_back(
+        std::make_unique<BoundColumnRef>(to_tree[c], col.type, col.name));
+  }
+  project->schema = node.schema;
+  project->est_rows = result.rows;
+  project->est_cost = best.result.local_cost + restore_cost;
+  project->children.push_back(std::move(best.result.local_plan));
+  result.local_plan = std::move(project);
+  result.local_cost = best.result.local_cost + restore_cost;
+  return result;
+}
+
+StatusOr<PlanResult> Planner::JoinChildren(const LogicalOp& node,
+                                           PlanResult left,
+                                           PlanResult right) {
+  const auto& join = static_cast<const LogicalJoin&>(node);
+  PlanResult result = Begin(node);
+  double left_rows = left.rows;
+  double right_rows = right.rows;
+  MT_ASSIGN_OR_RETURN(PlanChoice lplan, DeliverLocal(std::move(left)));
+  MT_ASSIGN_OR_RETURN(PlanChoice rplan, DeliverLocal(std::move(right)));
+
+  int left_width = node.children[0]->schema.num_columns();
+  // Extract equi-join keys crossing the boundary.
+  std::vector<int> probe_keys;
+  std::vector<int> build_keys;
+  std::vector<BExprPtr> residual;
+  if (join.condition != nullptr) {
+    std::vector<const BoundExpr*> conjuncts;
+    CollectConjuncts(*join.condition, &conjuncts);
+    for (const BoundExpr* c : conjuncts) {
+      bool is_key = false;
+      if (c->kind == BoundExprKind::kBinary) {
+        const auto& bin = static_cast<const BoundBinary&>(*c);
+        if (bin.op == BinaryOp::kEq &&
+            bin.left->kind == BoundExprKind::kColumnRef &&
+            bin.right->kind == BoundExprKind::kColumnRef) {
+          int a = static_cast<const BoundColumnRef&>(*bin.left).ordinal;
+          int b = static_cast<const BoundColumnRef&>(*bin.right).ordinal;
+          if (a < left_width && b >= left_width) {
+            probe_keys.push_back(a);
+            build_keys.push_back(b - left_width);
+            is_key = true;
+          } else if (b < left_width && a >= left_width) {
+            probe_keys.push_back(b);
+            build_keys.push_back(a - left_width);
+            is_key = true;
+          }
+        }
+      }
+      if (!is_key) residual.push_back(CloneBound(*c));
+    }
+  }
+
+  // Alternative: index nested-loop join, when the inner (right) side is
+  // a scannable (possibly filtered) table with an index led by the join
+  // column. This is how point joins (item->author etc.) should run.
+  AccessSite inner = DecomposeSite(*node.children[1]);
+  PhysicalPtr inlj_plan;
+  double inlj_cost = kInf;
+  if (inner.get != nullptr && !probe_keys.empty()) {
+    for (size_t idx = 0; idx < inner.get->def->indexes.size(); ++idx) {
+      const IndexDef& index = inner.get->def->indexes[idx];
+      for (size_t k = 0; k < probe_keys.size(); ++k) {
+        // Map the join key through the projection, if any.
+        int inner_key = inner.TableColumn(build_keys[k]);
+        if (inner_key < 0 || index.key_columns.empty() ||
+            index.key_columns[0] != inner_key) {
+          continue;
+        }
+        RelStats inner_stats = EstimateLogical(*inner.get);
+        double ndv = 1;
+        if (inner_key >= 0 &&
+            inner_key < static_cast<int>(inner_stats.cols.size())) {
+          ndv = std::max(inner_stats.cols[inner_key].ndv, 1.0);
+        }
+        double per_probe = inner_stats.rows / ndv;
+        double pred_sel =
+            inner.predicate != nullptr
+                ? EstimateSelectivity(*inner.predicate, inner_stats)
+                : 1.0;
+        double cost =
+            lplan.cost +
+            left_rows * (options_.cost_model.index_seek +
+                         per_probe * (options_.cost_model.index_row +
+                                      options_.cost_model.filter_row));
+        ++*alternatives_;
+        if (cost >= inlj_cost) continue;
+        auto phys = std::make_unique<PhysIndexNLJoin>();
+        phys->join_kind = join.join_kind;
+        phys->inner_def = inner.get->def;
+        phys->index_ordinal = static_cast<int>(idx);
+        phys->outer_key = probe_keys[k];
+        phys->inner_predicate = inner.predicate != nullptr
+                                    ? CloneBound(*inner.predicate)
+                                    : nullptr;
+        if (inner.project != nullptr) {
+          for (const auto& e : inner.project->exprs) {
+            phys->inner_projection.push_back(CloneBound(*e));
+          }
+        }
+        // Residual: every other join conjunct (including other key
+        // equalities) evaluated over the concatenated row.
+        std::vector<BExprPtr> inlj_residual;
+        for (const auto& r : residual) {
+          inlj_residual.push_back(CloneBound(*r));
+        }
+        for (size_t j = 0; j < probe_keys.size(); ++j) {
+          if (j == k) continue;
+          inlj_residual.push_back(std::make_unique<BoundBinary>(
+              BinaryOp::kEq,
+              std::make_unique<BoundColumnRef>(probe_keys[j],
+                                               TypeId::kNull, "lk"),
+              std::make_unique<BoundColumnRef>(build_keys[j] + left_width,
+                                               TypeId::kNull, "rk"),
+              TypeId::kBool));
+        }
+        phys->residual = AndTogether(std::move(inlj_residual));
+        phys->schema = node.schema;
+        phys->est_rows = result.rows * pred_sel;
+        phys->est_cost = cost;
+        // The plan owns only the outer child; lplan was moved for the
+        // first alternative, so clone via re-plan is avoided by deciding
+        // before moving (see ordering below).
+        inlj_plan = std::move(phys);
+        inlj_cost = cost;
+        break;
+      }
+    }
+  }
+
+  ++*alternatives_;
+  if (!probe_keys.empty()) {
+    double hash_cost = lplan.cost + rplan.cost +
+                       right_rows * options_.cost_model.hash_build_row +
+                       left_rows * options_.cost_model.hash_probe_row +
+                       result.rows * options_.cost_model.filter_row;
+    // Commuted alternative (inner joins only): build on the LEFT input
+    // and probe with the right, restoring column order with a Project.
+    double swapped_cost = kInf;
+    if (join.join_kind == JoinKind::kInner) {
+      ++*alternatives_;
+      swapped_cost = lplan.cost + rplan.cost +
+                     left_rows * options_.cost_model.hash_build_row +
+                     right_rows * options_.cost_model.hash_probe_row +
+                     result.rows *
+                         (options_.cost_model.filter_row +
+                          options_.cost_model.project_row);
+    }
+    if (inlj_plan != nullptr && inlj_cost < hash_cost &&
+        inlj_cost < swapped_cost) {
+      inlj_plan->children.push_back(std::move(lplan.plan));
+      result.local_plan = std::move(inlj_plan);
+      result.local_cost = inlj_cost;
+      return result;
+    }
+    if (swapped_cost < hash_cost) {
+      int right_width = node.children[1]->schema.num_columns();
+      auto phys = std::make_unique<PhysHashJoin>();
+      phys->join_kind = JoinKind::kInner;
+      // Probe = right input, build = left input; keys swap roles and the
+      // residual's ordinals are remapped to (right, left) order.
+      phys->probe_keys = build_keys;
+      phys->build_keys = probe_keys;
+      std::vector<BExprPtr> swapped_residual;
+      for (auto& r : residual) {
+        // old ordinal o: o < left_width -> o + right_width (left now
+        // second); else o - left_width (right now first).
+        std::vector<int> mapping(left_width + right_width);
+        for (int o = 0; o < left_width; ++o) mapping[o] = o + right_width;
+        for (int o = 0; o < right_width; ++o) {
+          mapping[left_width + o] = o;
+        }
+        BExprPtr copy = CloneBound(*r);
+        RemapColumnRefs(copy.get(), mapping);
+        swapped_residual.push_back(std::move(copy));
+      }
+      phys->residual = AndTogether(std::move(swapped_residual));
+      phys->schema =
+          Schema::Concat(node.children[1]->schema, node.children[0]->schema);
+      phys->est_rows = result.rows;
+      phys->est_cost = swapped_cost;
+      phys->children.push_back(std::move(rplan.plan));  // probe
+      phys->children.push_back(std::move(lplan.plan));  // build
+      // Restore (left, right) column order for the parent.
+      auto project = std::make_unique<PhysProject>();
+      for (int o = 0; o < left_width; ++o) {
+        const ColumnInfo& col = node.children[0]->schema.column(o);
+        project->exprs.push_back(std::make_unique<BoundColumnRef>(
+            right_width + o, col.type, col.name));
+      }
+      for (int o = 0; o < right_width; ++o) {
+        const ColumnInfo& col = node.children[1]->schema.column(o);
+        project->exprs.push_back(
+            std::make_unique<BoundColumnRef>(o, col.type, col.name));
+      }
+      project->schema = node.schema;
+      project->est_rows = result.rows;
+      project->est_cost = swapped_cost;
+      project->children.push_back(std::move(phys));
+      result.local_plan = std::move(project);
+      result.local_cost = swapped_cost;
+      return result;
+    }
+    auto phys = std::make_unique<PhysHashJoin>();
+    phys->join_kind = join.join_kind;
+    phys->probe_keys = std::move(probe_keys);
+    phys->build_keys = std::move(build_keys);
+    phys->residual = AndTogether(std::move(residual));
+    phys->schema = node.schema;
+    phys->est_rows = result.rows;
+    phys->est_cost = hash_cost;
+    phys->children.push_back(std::move(lplan.plan));
+    phys->children.push_back(std::move(rplan.plan));
+    result.local_plan = std::move(phys);
+    result.local_cost = hash_cost;
+  } else {
+    double cost = lplan.cost + rplan.cost +
+                  left_rows * right_rows * options_.cost_model.nl_inner_row;
+    auto phys = std::make_unique<PhysNLJoin>();
+    phys->join_kind = join.join_kind;
+    phys->condition =
+        join.condition != nullptr ? CloneBound(*join.condition) : nullptr;
+    phys->schema = node.schema;
+    phys->est_rows = result.rows;
+    phys->est_cost = cost;
+    phys->children.push_back(std::move(lplan.plan));
+    phys->children.push_back(std::move(rplan.plan));
+    result.local_plan = std::move(phys);
+    result.local_cost = cost;
+  }
+  return result;
 }
 
 // ---------------------------------------------------------------------------

@@ -29,6 +29,10 @@ struct OptimizerOptions {
   /// remote branch (bigger remote pushdown) at the price of optimization
   /// time and plan size.
   bool pull_up_chooseplan = true;
+  /// Order inner joins by cost (a dynamic program over the relations of each
+  /// inner-join block). When off, joins run left-deep in FROM order; only
+  /// tests turn it off, to get the FROM-order plan as a reference answer.
+  bool reorder_joins = true;
   /// Allow mixed-result plans for regular materialized views (§5.1.1).
   /// Cached views never produce mixed results (transactional consistency).
   bool allow_mixed_results = true;

@@ -37,7 +37,7 @@ std::string PhysicalOpLabel(const PhysicalOp& op) {
       const auto& o = static_cast<const PhysIndexSeek&>(op);
       return "IndexSeek(" + o.def->name + "." +
              o.def->indexes[o.index_ordinal].name + ")" +
-             PushdownSuffix(o.pushed_predicate, o.pushed_projection);
+             (o.backward ? " [backward]" : "") + PushdownSuffix(o.pushed_predicate, o.pushed_projection);
     }
     case PhysicalKind::kFilter: {
       const auto& o = static_cast<const PhysFilter&>(op);
@@ -64,8 +64,10 @@ std::string PhysicalOpLabel(const PhysicalOp& op) {
     }
     case PhysicalKind::kHashAggregate:
       return "HashAggregate";
-    case PhysicalKind::kSort:
-      return "Sort";
+    case PhysicalKind::kSort: {
+      const auto& o = static_cast<const PhysSort&>(op);
+      return o.limit < 0 ? "Sort" : "Sort(top " + std::to_string(o.limit) + ")";
+    }
     case PhysicalKind::kLimit:
       return "Limit(" +
              std::to_string(static_cast<const PhysLimit&>(op).limit) + ")";
@@ -82,6 +84,147 @@ std::string PhysicalOpLabel(const PhysicalOp& op) {
              std::to_string(static_cast<const PhysGather&>(op).dop) + ")";
   }
   return "?";
+}
+
+namespace {
+
+BExprPtr CloneOrNull(const BExprPtr& e) {
+  return e != nullptr ? CloneBound(*e) : nullptr;
+}
+
+std::vector<BExprPtr> CloneAll(const std::vector<BExprPtr>& exprs) {
+  std::vector<BExprPtr> out;
+  out.reserve(exprs.size());
+  for (const BExprPtr& e : exprs) out.push_back(CloneBound(*e));
+  return out;
+}
+
+std::vector<SortKey> CloneKeys(const std::vector<SortKey>& keys) {
+  std::vector<SortKey> out;
+  for (const SortKey& k : keys) out.push_back(SortKey{CloneBound(*k.expr), k.desc});
+  return out;
+}
+
+PhysicalPtr CloneNode(const PhysicalOp& op) {
+  switch (op.kind) {
+    case PhysicalKind::kDualScan:
+      return std::make_unique<PhysDualScan>();
+    case PhysicalKind::kSeqScan: {
+      const auto& o = static_cast<const PhysSeqScan&>(op);
+      auto c = std::make_unique<PhysSeqScan>();
+      c->def = o.def;
+      c->pushed_predicate = CloneOrNull(o.pushed_predicate);
+      c->pushed_projection = CloneAll(o.pushed_projection);
+      return c;
+    }
+    case PhysicalKind::kIndexSeek: {
+      const auto& o = static_cast<const PhysIndexSeek&>(op);
+      auto c = std::make_unique<PhysIndexSeek>();
+      c->def = o.def;
+      c->index_ordinal = o.index_ordinal;
+      c->backward = o.backward;
+      c->limit = o.limit;
+      c->eq_prefix = CloneAll(o.eq_prefix);
+      c->lo = CloneOrNull(o.lo);
+      c->lo_inclusive = o.lo_inclusive;
+      c->hi = CloneOrNull(o.hi);
+      c->hi_inclusive = o.hi_inclusive;
+      c->pushed_predicate = CloneOrNull(o.pushed_predicate);
+      c->pushed_projection = CloneAll(o.pushed_projection);
+      return c;
+    }
+    case PhysicalKind::kFilter: {
+      const auto& o = static_cast<const PhysFilter&>(op);
+      auto c = std::make_unique<PhysFilter>();
+      c->predicate = CloneOrNull(o.predicate);
+      c->startup = o.startup;
+      return c;
+    }
+    case PhysicalKind::kProject: {
+      auto c = std::make_unique<PhysProject>();
+      c->exprs = CloneAll(static_cast<const PhysProject&>(op).exprs);
+      return c;
+    }
+    case PhysicalKind::kNLJoin: {
+      const auto& o = static_cast<const PhysNLJoin&>(op);
+      auto c = std::make_unique<PhysNLJoin>();
+      c->join_kind = o.join_kind;
+      c->condition = CloneOrNull(o.condition);
+      return c;
+    }
+    case PhysicalKind::kIndexNLJoin: {
+      const auto& o = static_cast<const PhysIndexNLJoin&>(op);
+      auto c = std::make_unique<PhysIndexNLJoin>();
+      c->join_kind = o.join_kind;
+      c->inner_def = o.inner_def;
+      c->index_ordinal = o.index_ordinal;
+      c->outer_key = o.outer_key;
+      c->inner_predicate = CloneOrNull(o.inner_predicate);
+      c->inner_projection = CloneAll(o.inner_projection);
+      c->residual = CloneOrNull(o.residual);
+      return c;
+    }
+    case PhysicalKind::kHashJoin: {
+      const auto& o = static_cast<const PhysHashJoin&>(op);
+      auto c = std::make_unique<PhysHashJoin>();
+      c->join_kind = o.join_kind;
+      c->probe_keys = o.probe_keys;
+      c->build_keys = o.build_keys;
+      c->residual = CloneOrNull(o.residual);
+      return c;
+    }
+    case PhysicalKind::kHashAggregate: {
+      const auto& o = static_cast<const PhysHashAggregate&>(op);
+      auto c = std::make_unique<PhysHashAggregate>();
+      c->group_by = CloneAll(o.group_by);
+      for (const AggItem& a : o.aggs) {
+        c->aggs.push_back(AggItem{a.func, CloneOrNull(a.arg)});
+      }
+      return c;
+    }
+    case PhysicalKind::kSort: {
+      const auto& o = static_cast<const PhysSort&>(op);
+      auto c = std::make_unique<PhysSort>();
+      c->keys = CloneKeys(o.keys);
+      c->limit = o.limit;
+      return c;
+    }
+    case PhysicalKind::kLimit: {
+      auto c = std::make_unique<PhysLimit>();
+      c->limit = static_cast<const PhysLimit&>(op).limit;
+      return c;
+    }
+    case PhysicalKind::kDistinct:
+      return std::make_unique<PhysDistinct>();
+    case PhysicalKind::kUnionAll:
+      return std::make_unique<PhysUnionAll>();
+    case PhysicalKind::kRemoteQuery: {
+      const auto& o = static_cast<const PhysRemoteQuery&>(op);
+      auto c = std::make_unique<PhysRemoteQuery>();
+      c->server = o.server;
+      c->sql = o.sql;
+      return c;
+    }
+    case PhysicalKind::kGather: {
+      auto c = std::make_unique<PhysGather>();
+      c->dop = static_cast<const PhysGather&>(op).dop;
+      return c;
+    }
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+PhysicalPtr ClonePhysical(const PhysicalOp& op) {
+  PhysicalPtr copy = CloneNode(op);
+  copy->schema = op.schema;
+  copy->est_rows = op.est_rows;
+  copy->est_cost = op.est_cost;
+  for (const auto& child : op.children) {
+    copy->children.push_back(ClonePhysical(*child));
+  }
+  return copy;
 }
 
 std::string PhysicalToString(const PhysicalOp& op, int indent) {

@@ -68,10 +68,16 @@ struct PhysSeqScan : PhysicalOp {
 
 /// B+-tree range access: equality on a key prefix, then an optional range on
 /// the next key column. Bounds are row-free expressions (literals/params).
+/// Rows come out in index-key order (descending when `backward`), which lets
+/// the planner drop a Sort on a key prefix. With `limit` >= 0 (a Limit above,
+/// reached through 1:1 Projects) the seek stops after that many qualifying
+/// rows, so TOP n touches O(n) entries.
 struct PhysIndexSeek : PhysicalOp {
   PhysIndexSeek() : PhysicalOp(PhysicalKind::kIndexSeek) {}
   const TableDef* def = nullptr;
   int index_ordinal = 0;
+  bool backward = false;
+  int64_t limit = -1;
   std::vector<BExprPtr> eq_prefix;  // values for leading key columns
   BExprPtr lo;                      // optional lower bound on next column
   bool lo_inclusive = true;
@@ -134,9 +140,13 @@ struct PhysHashAggregate : PhysicalOp {
   std::vector<AggItem> aggs;
 };
 
+/// Stable sort. With `limit` >= 0 (a Limit folded into the Sort) it keeps
+/// only the first `limit` rows in a bounded heap: the same rows, in the same
+/// order, as a full stable sort followed by the Limit.
 struct PhysSort : PhysicalOp {
   PhysSort() : PhysicalOp(PhysicalKind::kSort) {}
   std::vector<SortKey> keys;
+  int64_t limit = -1;
 };
 
 struct PhysLimit : PhysicalOp {
@@ -172,6 +182,9 @@ struct PhysGather : PhysicalOp {
   PhysGather() : PhysicalOp(PhysicalKind::kGather) {}
   int dop = 1;  // requested degree of parallelism (including the caller)
 };
+
+/// Deep copy of a physical tree.
+PhysicalPtr ClonePhysical(const PhysicalOp& op);
 
 /// Single-node label ("SeqScan(item)", "RemoteQuery[backend](...)"), shared
 /// by EXPLAIN rendering and the per-operator profile tree.

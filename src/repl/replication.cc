@@ -424,10 +424,15 @@ Status ReplicationSystem::RunOnce(ExecStats* publisher_stats,
   for (auto& [server, state] : publishers_) {
     MT_RETURN_IF_ERROR(RunLogReader(server, publisher_stats));
   }
+  // A stream that cannot deliver (its subscriber is down or rejects a
+  // change) must not hold back the others: deliver every stream, then report
+  // the first failure.
+  Status first_error = Status::Ok();
   for (auto& [id, stream] : streams_) {
-    MT_RETURN_IF_ERROR(DeliverStream(stream.get(), subscriber_stats));
+    Status s = DeliverStream(stream.get(), subscriber_stats);
+    if (!s.ok() && first_error.ok()) first_error = std::move(s);
   }
-  return Status::Ok();
+  return first_error;
 }
 
 int64_t ReplicationSystem::PendingChanges() const {

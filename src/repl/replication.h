@@ -210,6 +210,8 @@ class ReplicationSystem {
   Status RunDistributionAgent(Server* subscriber, ExecStats* subscriber_stats);
 
   /// Convenience: one full pipeline round for every publisher + stream.
+  /// Every stream gets its delivery attempt even when another fails; the
+  /// first failure is returned.
   Status RunOnce(ExecStats* publisher_stats, ExecStats* subscriber_stats);
 
   /// Total changes sitting in the distribution database.

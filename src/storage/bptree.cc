@@ -1,24 +1,50 @@
 #include "storage/bptree.h"
 
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <iterator>
 
 namespace mtcache {
 
 struct BPlusTree::Node {
+  explicit Node(size_t w) : width(w) {}
+
   bool leaf = true;
-  // Internal: keys are separators; children.size() == keys.size() + 1 and
-  // keys[i] is the smallest (key,rid) entry under children[i+1].
-  // Leaf: keys[i]/rids[i] are the entries.
-  std::vector<Row> keys;
-  std::vector<RowId> rids;  // parallel to keys (leaf entries or separators)
+  size_t width;  // values per key
+  // Internal: keys are separators; children.size() == count() + 1 and
+  // separator i is the smallest (key,rid) entry under children[i+1].
+  // Leaf: key i / rids[i] are the entries.
+  // Keys are stored back to back: key i is keys[i*width .. (i+1)*width).
+  std::vector<Value> keys;
+  std::vector<RowId> rids;  // one per key (leaf entries or separators)
   std::vector<std::unique_ptr<Node>> children;
   Node* next = nullptr;  // leaf chain
+  Node* prev = nullptr;
+
+  int count() const { return static_cast<int>(rids.size()); }
+  KeyRef key(int i) const { return KeyRef(keys.data() + i * width, width); }
+  void InsertKey(int i, KeyRef key, RowId rid) {
+    keys.insert(keys.begin() + i * width, key.begin(), key.end());
+    rids.insert(rids.begin() + i, rid);
+  }
+  void EraseKey(int i) {
+    keys.erase(keys.begin() + i * width, keys.begin() + (i + 1) * width);
+    rids.erase(rids.begin() + i);
+  }
+  // Keeps the first n keys and moves keys [from, count) to `right`.
+  void MoveTail(int n, int from, Node* right) {
+    right->keys.assign(std::make_move_iterator(keys.begin() + from * width),
+                       std::make_move_iterator(keys.end()));
+    right->rids.assign(rids.begin() + from, rids.end());
+    keys.resize(n * width);
+    rids.resize(n);
+  }
 };
 
 namespace {
 
 // Full-entry comparison: lexicographic over columns then rowid.
-int CompareEntry(const Row& a, RowId arid, const Row& b, RowId brid) {
+int CompareEntry(KeyRef a, RowId arid, KeyRef b, RowId brid) {
   size_t n = a.size() < b.size() ? a.size() : b.size();
   for (size_t i = 0; i < n; ++i) {
     int c = a[i].Compare(b[i]);
@@ -31,7 +57,7 @@ int CompareEntry(const Row& a, RowId arid, const Row& b, RowId brid) {
 
 }  // namespace
 
-int BPlusTree::ComparePrefix(const Row& a, const Row& b) {
+int BPlusTree::ComparePrefix(KeyRef a, KeyRef b) {
   size_t n = a.size() < b.size() ? a.size() : b.size();
   for (size_t i = 0; i < n; ++i) {
     int c = a[i].Compare(b[i]);
@@ -40,7 +66,7 @@ int BPlusTree::ComparePrefix(const Row& a, const Row& b) {
   return 0;
 }
 
-BPlusTree::BPlusTree() : root_(std::make_unique<Node>()) {}
+BPlusTree::BPlusTree() : root_(std::make_unique<Node>(0)) {}
 BPlusTree::~BPlusTree() = default;
 BPlusTree::BPlusTree(BPlusTree&&) noexcept = default;
 BPlusTree& BPlusTree::operator=(BPlusTree&&) noexcept = default;
@@ -48,13 +74,13 @@ BPlusTree& BPlusTree::operator=(BPlusTree&&) noexcept = default;
 namespace {
 
 // Finds the child index to descend into for an entry (key, rid).
-int ChildIndex(const BPlusTree::Node& node, const Row& key, RowId rid) {
+int ChildIndex(const BPlusTree::Node& node, KeyRef key, RowId rid) {
   int lo = 0;
-  int hi = static_cast<int>(node.keys.size());
+  int hi = node.count();
   // First separator strictly greater than the entry -> descend left of it.
   while (lo < hi) {
     int mid = (lo + hi) / 2;
-    if (CompareEntry(node.keys[mid], node.rids[mid], key, rid) <= 0) {
+    if (CompareEntry(node.key(mid), node.rids[mid], key, rid) <= 0) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -70,60 +96,57 @@ struct SplitResult {
   std::unique_ptr<BPlusTree::Node> right;
 };
 
-SplitResult InsertRec(BPlusTree::Node* node, const Row& key, RowId rid) {
+SplitResult InsertRec(BPlusTree::Node* node, KeyRef key, RowId rid) {
   if (node->leaf) {
     // Position for insertion (keep sorted by (key, rid)).
     int lo = 0;
-    int hi = static_cast<int>(node->keys.size());
+    int hi = node->count();
     while (lo < hi) {
       int mid = (lo + hi) / 2;
-      if (CompareEntry(node->keys[mid], node->rids[mid], key, rid) < 0) {
+      if (CompareEntry(node->key(mid), node->rids[mid], key, rid) < 0) {
         lo = mid + 1;
       } else {
         hi = mid;
       }
     }
-    node->keys.insert(node->keys.begin() + lo, key);
-    node->rids.insert(node->rids.begin() + lo, rid);
+    node->InsertKey(lo, key, rid);
   } else {
     int ci = ChildIndex(*node, key, rid);
     SplitResult child_split = InsertRec(node->children[ci].get(), key, rid);
     if (child_split.split) {
-      node->keys.insert(node->keys.begin() + ci, std::move(child_split.sep_key));
-      node->rids.insert(node->rids.begin() + ci, child_split.sep_rid);
+      node->InsertKey(ci, child_split.sep_key, child_split.sep_rid);
       node->children.insert(node->children.begin() + ci + 1,
                             std::move(child_split.right));
     }
   }
 
   SplitResult result;
-  if (static_cast<int>(node->keys.size()) <= BPlusTree::kFanout) return result;
+  if (node->count() <= BPlusTree::kFanout) return result;
 
   // Split the node in half.
-  int mid = static_cast<int>(node->keys.size()) / 2;
-  auto right = std::make_unique<BPlusTree::Node>();
+  int mid = node->count() / 2;
+  auto right = std::make_unique<BPlusTree::Node>(node->width);
   right->leaf = node->leaf;
   if (node->leaf) {
-    right->keys.assign(node->keys.begin() + mid, node->keys.end());
-    right->rids.assign(node->rids.begin() + mid, node->rids.end());
-    node->keys.resize(mid);
-    node->rids.resize(mid);
+    node->MoveTail(mid, mid, right.get());
+    // Keys mostly arrive in order (ids, timestamps), so the left half of a
+    // split rarely grows again: give back the capacity it no longer uses.
+    node->keys.shrink_to_fit();
+    node->rids.shrink_to_fit();
     right->next = node->next;
+    right->prev = node;
+    if (node->next != nullptr) node->next->prev = right.get();
     node->next = right.get();
-    result.sep_key = right->keys.front();
+    result.sep_key = right->key(0).ToRow();
     result.sep_rid = right->rids.front();
   } else {
     // Separator at `mid` moves up.
-    result.sep_key = std::move(node->keys[mid]);
+    result.sep_key = node->key(mid).ToRow();
     result.sep_rid = node->rids[mid];
-    right->keys.assign(std::make_move_iterator(node->keys.begin() + mid + 1),
-                       std::make_move_iterator(node->keys.end()));
-    right->rids.assign(node->rids.begin() + mid + 1, node->rids.end());
+    node->MoveTail(mid, mid + 1, right.get());
     for (size_t i = mid + 1; i < node->children.size(); ++i) {
       right->children.push_back(std::move(node->children[i]));
     }
-    node->keys.resize(mid);
-    node->rids.resize(mid);
     node->children.resize(mid + 1);
   }
   result.split = true;
@@ -134,12 +157,22 @@ SplitResult InsertRec(BPlusTree::Node* node, const Row& key, RowId rid) {
 }  // namespace
 
 void BPlusTree::Insert(const Row& key, RowId rid) {
+  if (size_ == 0 && root_->leaf && root_->count() == 0) {
+    width_ = key.size();
+    root_->width = width_;
+  }
+  if (key.size() != width_) {
+    // Keys are stored back to back at one width: a key of another width
+    // would misalign every key after it in its node.
+    std::fprintf(stderr, "BPlusTree: %zu-value key in a tree of width %zu\n",
+                 key.size(), width_);
+    std::abort();
+  }
   SplitResult split = InsertRec(root_.get(), key, rid);
   if (split.split) {
-    auto new_root = std::make_unique<Node>();
+    auto new_root = std::make_unique<Node>(width_);
     new_root->leaf = false;
-    new_root->keys.push_back(std::move(split.sep_key));
-    new_root->rids.push_back(split.sep_rid);
+    new_root->InsertKey(0, split.sep_key, split.sep_rid);
     new_root->children.push_back(std::move(root_));
     new_root->children.push_back(std::move(split.right));
     root_ = std::move(new_root);
@@ -152,10 +185,9 @@ bool BPlusTree::Erase(const Row& key, RowId rid) {
   while (!node->leaf) {
     node = node->children[ChildIndex(*node, key, rid)].get();
   }
-  for (size_t i = 0; i < node->keys.size(); ++i) {
-    if (CompareEntry(node->keys[i], node->rids[i], key, rid) == 0) {
-      node->keys.erase(node->keys.begin() + i);
-      node->rids.erase(node->rids.begin() + i);
+  for (int i = 0; i < node->count(); ++i) {
+    if (CompareEntry(node->key(i), node->rids[i], key, rid) == 0) {
+      node->EraseKey(i);
       --size_;
       return true;
     }
@@ -163,14 +195,22 @@ bool BPlusTree::Erase(const Row& key, RowId rid) {
   return false;
 }
 
-const Row& BPlusTree::Iterator::key() const { return node_->keys[pos_]; }
+KeyRef BPlusTree::Iterator::key() const { return node_->key(pos_); }
 RowId BPlusTree::Iterator::rowid() const { return node_->rids[pos_]; }
 
 void BPlusTree::Iterator::Next() {
   ++pos_;
-  while (node_ != nullptr && pos_ >= static_cast<int>(node_->keys.size())) {
+  while (node_ != nullptr && pos_ >= node_->count()) {
     node_ = node_->next;
     pos_ = 0;
+  }
+}
+
+void BPlusTree::Iterator::Prev() {
+  --pos_;
+  while (node_ != nullptr && pos_ < 0) {
+    node_ = node_->prev;
+    pos_ = node_ != nullptr ? node_->count() - 1 : 0;
   }
 }
 
@@ -184,14 +224,48 @@ BPlusTree::Iterator BPlusTree::Begin() const {
   return it;
 }
 
-BPlusTree::Iterator BPlusTree::SeekGe(const Row& key) const {
+BPlusTree::Iterator BPlusTree::Last() const {
+  const Node* node = root_.get();
+  while (!node->leaf) node = node->children.back().get();
+  Iterator it;
+  it.node_ = const_cast<Node*>(node);
+  it.pos_ = node->count();
+  it.Prev();
+  return it;
+}
+
+namespace {
+
+// The entry before `it`, where an invalid `it` stands for the end.
+BPlusTree::Iterator StepBack(BPlusTree::Iterator it,
+                             const BPlusTree& tree) {
+  if (!it.Valid()) return tree.Last();
+  it.Prev();
+  return it;
+}
+
+}  // namespace
+
+BPlusTree::Iterator BPlusTree::SeekLe(const Row& key) const {
+  return StepBack(SeekGt(key), *this);
+}
+
+BPlusTree::Iterator BPlusTree::SeekLt(const Row& key) const {
+  return StepBack(SeekGe(key), *this);
+}
+
+BPlusTree::Iterator BPlusTree::SeekPrefix(const Row& key, bool strict) const {
+  auto above = [&](KeyRef entry) {
+    int c = ComparePrefix(entry, key);
+    return strict ? c > 0 : c >= 0;
+  };
   const Node* node = root_.get();
   while (!node->leaf) {
     int lo = 0;
-    int hi = static_cast<int>(node->keys.size());
+    int hi = node->count();
     while (lo < hi) {
       int mid = (lo + hi) / 2;
-      if (ComparePrefix(node->keys[mid], key) >= 0) {
+      if (above(node->key(mid))) {
         hi = mid;
       } else {
         lo = mid + 1;
@@ -200,46 +274,24 @@ BPlusTree::Iterator BPlusTree::SeekGe(const Row& key) const {
     node = node->children[lo].get();
   }
   Iterator it;
-  while (node != nullptr) {
-    for (size_t i = 0; i < node->keys.size(); ++i) {
-      if (ComparePrefix(node->keys[i], key) >= 0) {
+  for (; node != nullptr; node = node->next) {
+    for (int i = 0; i < node->count(); ++i) {
+      if (above(node->key(i))) {
         it.node_ = const_cast<Node*>(node);
-        it.pos_ = static_cast<int>(i);
+        it.pos_ = i;
         return it;
       }
     }
-    node = node->next;
   }
   return it;
 }
 
+BPlusTree::Iterator BPlusTree::SeekGe(const Row& key) const {
+  return SeekPrefix(key, /*strict=*/false);
+}
+
 BPlusTree::Iterator BPlusTree::SeekGt(const Row& key) const {
-  const Node* node = root_.get();
-  while (!node->leaf) {
-    int lo = 0;
-    int hi = static_cast<int>(node->keys.size());
-    while (lo < hi) {
-      int mid = (lo + hi) / 2;
-      if (ComparePrefix(node->keys[mid], key) > 0) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    node = node->children[lo].get();
-  }
-  Iterator it;
-  while (node != nullptr) {
-    for (size_t i = 0; i < node->keys.size(); ++i) {
-      if (ComparePrefix(node->keys[i], key) > 0) {
-        it.node_ = const_cast<Node*>(node);
-        it.pos_ = static_cast<int>(i);
-        return it;
-      }
-    }
-    node = node->next;
-  }
-  return it;
+  return SeekPrefix(key, /*strict=*/true);
 }
 
 }  // namespace mtcache

@@ -56,7 +56,7 @@ CREATE PROCEDURE getBestSellers(@subject VARCHAR(20)) AS BEGIN
          SUM(ol.ol_qty) AS total
   FROM order_line ol, item i, author a,
        (SELECT TOP )sql" + window + R"sql( o_id FROM orders
-        ORDER BY o_date DESC) recent
+        ORDER BY o_date DESC, o_id DESC) recent
   WHERE ol.ol_o_id = recent.o_id AND i.i_id = ol.ol_i_id
         AND a.a_id = i.i_a_id AND i.i_subject = @subject
   GROUP BY i.i_id, i.i_title, a.a_fname, a.a_lname

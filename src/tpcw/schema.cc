@@ -92,7 +92,7 @@ CREATE INDEX item_author ON item (i_a_id);
 CREATE INDEX item_pubdate ON item (i_pub_date);
 CREATE INDEX author_lname ON author (a_lname);
 CREATE INDEX orders_cid ON orders (o_c_id);
-CREATE INDEX orders_date ON orders (o_date);
+CREATE INDEX orders_date ON orders (o_date, o_id);
 CREATE INDEX orderline_item ON order_line (ol_i_id);
 )sql");
 }

@@ -22,6 +22,11 @@ const char* TypeName(TypeId type) {
   return "unknown";
 }
 
+const std::string& Value::EmptyString() {
+  static const std::string* const kEmpty = new std::string();
+  return *kEmpty;
+}
+
 int Value::Compare(const Value& other) const {
   if (is_null_ && other.is_null_) return 0;
   if (is_null_) return -1;
@@ -45,7 +50,7 @@ int Value::Compare(const Value& other) const {
     return 0;
   }
   if (type_ == TypeId::kString && other.type_ == TypeId::kString) {
-    int c = s_.compare(other.s_);
+    int c = AsString().compare(other.AsString());
     return c < 0 ? -1 : (c > 0 ? 1 : 0);
   }
   // Mixed incomparable types: order by type id to keep a total order.
@@ -64,7 +69,7 @@ double Value::SizeBytes() const {
     case TypeId::kDouble:
       return 8;
     case TypeId::kString:
-      return 4 + static_cast<double>(s_.size());
+      return 4 + static_cast<double>(AsString().size());
   }
   return 8;
 }
@@ -82,11 +87,12 @@ double Value::AsStatDouble() const {
     case TypeId::kString: {
       // Order-preserving-ish projection of the first few characters, so range
       // selectivity on strings is at least monotone.
+      const std::string& str = AsString();
       double x = 0;
       double scale = 1.0;
-      for (size_t i = 0; i < s_.size() && i < 8; ++i) {
+      for (size_t i = 0; i < str.size() && i < 8; ++i) {
         scale /= 256.0;
-        x += static_cast<unsigned char>(s_[i]) * scale;
+        x += static_cast<unsigned char>(str[i]) * scale;
       }
       return x;
     }
@@ -125,7 +131,7 @@ std::string Value::ToSqlLiteral() const {
     }
     case TypeId::kString: {
       std::string out = "'";
-      for (char c : s_) {
+      for (char c : AsString()) {
         if (c == '\'') out += "''";
         else out.push_back(c);
       }
@@ -138,7 +144,7 @@ std::string Value::ToSqlLiteral() const {
 
 std::string Value::ToString() const {
   if (is_null_) return "NULL";
-  if (type_ == TypeId::kString) return s_;
+  if (type_ == TypeId::kString) return AsString();
   return ToSqlLiteral();
 }
 
@@ -159,7 +165,7 @@ size_t Value::Hash() const {
       return std::hash<double>()(d);
     }
     case TypeId::kString:
-      return std::hash<std::string>()(s_);
+      return std::hash<std::string>()(AsString());
   }
   return 0;
 }

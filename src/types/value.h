@@ -1,6 +1,7 @@
 #ifndef MTCACHE_TYPES_VALUE_H_
 #define MTCACHE_TYPES_VALUE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -25,15 +26,46 @@ const char* TypeName(TypeId type);
 /// first, as in an index key). Cross numeric-type comparison (int vs double)
 /// is supported; other cross-type comparison is a caller bug guarded by the
 /// binder's type checking.
+///
+/// Sixteen bytes: numbers live inline and a string lives out of line in an
+/// immutable, reference-counted buffer, so copying a value never allocates.
+/// Stored rows and index keys are mostly numbers, so this keeps a table's
+/// memory close to its data.
 class Value {
  public:
   /// Constructs SQL NULL (of unknown type).
-  Value() : type_(TypeId::kNull), is_null_(true), i_(0), d_(0) {}
+  Value() : type_(TypeId::kNull), is_null_(true), i_(0) {}
+  Value(const Value& other)
+      : type_(other.type_), is_null_(other.is_null_), i_(other.i_) {
+    if (type_ == TypeId::kString && s_ != nullptr) {
+      s_->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  Value(Value&& other) noexcept
+      : type_(other.type_), is_null_(other.is_null_), i_(other.i_) {
+    if (type_ == TypeId::kString) other.s_ = nullptr;
+  }
+  Value& operator=(const Value& other) {
+    if (this != &other) *this = Value(other);
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    if (this != &other) {
+      Release();
+      type_ = other.type_;
+      is_null_ = other.is_null_;
+      i_ = other.i_;
+      if (type_ == TypeId::kString) other.s_ = nullptr;
+    }
+    return *this;
+  }
+  ~Value() { Release(); }
 
   static Value Null() { return Value(); }
   static Value TypedNull(TypeId type) {
     Value v;
     v.type_ = type;
+    if (type == TypeId::kString) v.s_ = nullptr;
     return v;
   }
   static Value Bool(bool b) {
@@ -61,19 +93,25 @@ class Value {
     Value v;
     v.type_ = TypeId::kString;
     v.is_null_ = false;
-    v.s_ = std::move(s);
+    v.s_ = new SharedString{{1}, std::move(s)};
     return v;
   }
 
   TypeId type() const { return type_; }
   bool is_null() const { return is_null_; }
 
-  bool AsBool() const { return i_ != 0; }
-  int64_t AsInt() const { return i_; }
-  double AsDouble() const {
-    return type_ == TypeId::kDouble ? d_ : static_cast<double>(i_);
+  /// The integer of a bool or bigint value; 0 for every other type.
+  bool AsBool() const { return AsInt() != 0; }
+  int64_t AsInt() const {
+    return type_ == TypeId::kDouble || type_ == TypeId::kString ? 0 : i_;
   }
-  const std::string& AsString() const { return s_; }
+  double AsDouble() const {
+    return type_ == TypeId::kDouble ? d_ : static_cast<double>(AsInt());
+  }
+  /// The string of a varchar value; empty for every other type.
+  const std::string& AsString() const {
+    return type_ == TypeId::kString && s_ != nullptr ? s_->str : EmptyString();
+  }
 
   /// Three-way comparison: -1, 0, +1. NULL compares equal to NULL and less
   /// than any non-NULL (index-key ordering; SQL ternary logic is handled in
@@ -101,11 +139,26 @@ class Value {
   size_t Hash() const;
 
  private:
+  struct SharedString {
+    std::atomic<int32_t> refs;
+    const std::string str;
+  };
+
+  static const std::string& EmptyString();
+  void Release() {
+    if (type_ == TypeId::kString && s_ != nullptr &&
+        s_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      delete s_;
+    }
+  }
+
   TypeId type_;
   bool is_null_ = true;
-  int64_t i_ = 0;
-  double d_ = 0;
-  std::string s_;
+  union {
+    int64_t i_;         // kBool, kInt64, and 0 for NULL
+    double d_;          // kDouble
+    SharedString* s_;   // kString: shared, null for a NULL string
+  };
 };
 
 /// A tuple of values. Rows flow between operators by value; the row widths in

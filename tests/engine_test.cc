@@ -268,7 +268,7 @@ TEST_F(EngineTest, ProcedureTransactionAndDml) {
 TEST_F(EngineTest, MaterializedViewPopulatedAndMaintained) {
   SetUpBasicTables();
   Exec("CREATE MATERIALIZED VIEW cheap_items AS "
-       "SELECT i_id, i_title, i_cost FROM item WHERE i_cost <= 30");
+       "SELECT i_id, i_title, i_subject, i_cost FROM item WHERE i_cost <= 30");
   QueryResult r = Query("SELECT COUNT(*) FROM cheap_items");
   EXPECT_EQ(r.rows[0][0].AsInt(), 20);  // cost = 1.5 * id <= 30 -> id <= 20
   // Insert a matching row: view follows synchronously.
@@ -305,7 +305,7 @@ TEST_F(EngineTest, MaterializedViewOverTableWithoutPrimaryKeyRejected) {
 TEST_F(EngineTest, ViewMatchingSubstitutesMaterializedView) {
   SetUpBasicTables();
   Exec("CREATE MATERIALIZED VIEW cheap_items AS "
-       "SELECT i_id, i_title, i_cost FROM item WHERE i_cost <= 30");
+       "SELECT i_id, i_title, i_subject, i_cost FROM item WHERE i_cost <= 30");
   server_.RecomputeStats();
   auto plan = server_.Explain(
       "SELECT i_title FROM item WHERE i_cost <= 10 AND i_id > 2");
@@ -433,7 +433,7 @@ TEST_F(EngineTest, MixedResultPlanExecutesCorrectly) {
   // execute it on both sides of the boundary.
   SetUpBasicTables();
   Exec("CREATE MATERIALIZED VIEW cheap_items AS "
-       "SELECT i_id, i_title, i_cost FROM item WHERE i_cost <= 30");
+       "SELECT i_id, i_title, i_subject, i_cost FROM item WHERE i_cost <= 30");
   server_.RecomputeStats();
 
   auto stmt = ParseSql(
@@ -449,7 +449,8 @@ TEST_F(EngineTest, MixedResultPlanExecutesCorrectly) {
   std::vector<const BoundExpr*> conjuncts;
   CollectConjuncts(*static_cast<LogicalFilter*>(filter)->predicate,
                    &conjuncts);
-  std::set<int> used = {0, 1, 6};  // i_id, i_title, i_cost... and conjunct col
+  // Every column the statement reads: i_id, i_title, i_subject, i_cost.
+  std::set<int> used = {0, 1, 2, 3};
   auto matches = MatchViews(*get, conjuncts, used, server_.db().catalog(),
                             /*allow_mixed_results=*/true);
   const ViewMatch* with_mixed = nullptr;

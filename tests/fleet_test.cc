@@ -166,7 +166,22 @@ TEST(FleetTest, OffloadGrowsWithCachedFraction) {
   FleetResult lo = quarter.Simulate(load).ConsumeValue();
   FleetResult hi = full.Simulate(load).ConsumeValue();
   EXPECT_LT(lo.offload_pct, hi.offload_pct);
-  EXPECT_GT(hi.offload_pct, 90.0);  // fully cached Browsing is ~all local
+  // Fully cached, every Browse-class read over the cached tables runs on the
+  // cache: the backend sees none of its work.
+  for (tpcw::Interaction kind :
+       {tpcw::Interaction::kNewProducts, tpcw::Interaction::kBestSellers,
+        tpcw::Interaction::kProductDetail, tpcw::Interaction::kSearchRequest,
+        tpcw::Interaction::kSearchResults}) {
+    for (const FleetProfile::Sample& sample :
+         full.profile().samples[static_cast<int>(kind)]) {
+      EXPECT_EQ(sample.backend_cost, 0) << tpcw::InteractionName(kind);
+    }
+  }
+  // What the backend keeps is the writes and the reads of the uncached
+  // customer and cart tables. Their work is fixed by the cost model, so
+  // this share moves with the cost of the cached reads: 94% when
+  // BestSellers sorted every order, 89.7% with its indexed plan.
+  EXPECT_GT(hi.offload_pct, 85.0);
 }
 
 TEST(FleetTest, AggregateQpsGrowsWithCaches) {

@@ -418,9 +418,10 @@ TEST_F(OptimizerTest, PredicateNotPushedPastLimit) {
   auto result = optimizer.Optimize(*inner);
   ASSERT_TRUE(result.ok());
   std::string text = PhysicalToString(*result->plan);
-  // The okey filter must appear ABOVE (printed before) the Limit.
+  // The okey filter must appear ABOVE (printed before) the TOP 10, which
+  // the Sort applies once the Limit is folded into it.
   size_t filter_pos = text.find("okey > 100");
-  size_t limit_pos = text.find("Limit");
+  size_t limit_pos = text.find("Sort(top 10)");
   ASSERT_NE(filter_pos, std::string::npos) << text;
   ASSERT_NE(limit_pos, std::string::npos) << text;
   EXPECT_LT(filter_pos, limit_pos) << text;

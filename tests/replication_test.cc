@@ -385,6 +385,31 @@ TEST_F(ReplicationTest, UnsubscribeStopsDeliveryAndDropsQueue) {
   EXPECT_EQ(repl_.Unsubscribe(sub_id_).code(), StatusCode::kNotFound);
 }
 
+TEST_F(ReplicationTest, BlockedStreamDoesNotStarveOtherSubscribers) {
+  // A second cache subscribes to the same article: its own stream.
+  Server cache2(ServerOptions{"cache2", "dbo", {}}, &clock_, &links_);
+  ASSERT_TRUE(cache2
+                  .ExecuteScript("CREATE TABLE customer_east (c_id INT "
+                                 "PRIMARY KEY, c_name VARCHAR(30))")
+                  .ok());
+  Article east;
+  east.name = "customer_east_article";
+  east.def.base_table = "customer";
+  east.def.columns = {"c_id", "c_name"};
+  east.def.predicates = {{"c_region", CompareOp::kEq, Value::String("east")}};
+  auto sub2 = repl_.Subscribe(&backend_, east, &cache2, "customer_east");
+  ASSERT_TRUE(sub2.ok()) << sub2.status().ToString();
+  // Cache 1's target vanishes, so its stream cannot deliver.
+  ASSERT_TRUE(cache_.ExecuteScript("DROP TABLE customer_east").ok());
+  InsertEastRow(90);
+  Status first = repl_.RunOnce(nullptr, nullptr);
+  EXPECT_EQ(first.code(), StatusCode::kNotFound) << first.ToString();
+  auto r = cache2.Execute("SELECT COUNT(*) FROM customer_east WHERE c_id = 90");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows[0][0].AsInt(), 1) << "cache 2 starved behind cache 1";
+  ASSERT_TRUE(repl_.Unsubscribe(*sub2).ok());
+}
+
 TEST_F(ReplicationTest, VanishedTargetBlocksItsWholeStream) {
   // A second article on the same cache shares customer_east's stream.
   ASSERT_TRUE(cache_

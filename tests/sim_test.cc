@@ -145,8 +145,22 @@ TEST_F(TestbedTest, CachingOffloadsBackend) {
   auto rp = plain.Run(20, 5, 20);
   auto rc = cached.Run(20, 5, 20);
   ASSERT_TRUE(rp.ok() && rc.ok());
-  EXPECT_LT(rc->backend_util, rp->backend_util * 0.5)
-      << "cache servers should absorb most of the query load";
+  // Browse-class reads over the cached tables never reach the backend.
+  for (tpcw::Interaction kind :
+       {tpcw::Interaction::kNewProducts, tpcw::Interaction::kBestSellers,
+        tpcw::Interaction::kProductDetail, tpcw::Interaction::kSearchRequest,
+        tpcw::Interaction::kSearchResults}) {
+    for (auto [web_cost, backend_cost] :
+         cached.profile().samples[static_cast<int>(kind)]) {
+      EXPECT_EQ(backend_cost, 0) << tpcw::InteractionName(kind);
+    }
+  }
+  // The backend keeps the writes and the uncached customer and cart reads,
+  // whose work the cost model fixes; the share caching removes grows with
+  // the cost of the cached reads (72% when BestSellers sorted every order,
+  // 47% with its indexed plan).
+  EXPECT_LT(rc->backend_util, rp->backend_util * 0.6)
+      << "cache servers should absorb the query load";
 }
 
 TEST_F(TestbedTest, FindMaxThroughputRespectsLatencyBound) {

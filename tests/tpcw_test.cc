@@ -28,8 +28,10 @@ class TpcwBackendTest : public ::testing::Test {
   TpcwBackendTest()
       : backend_(ServerOptions{"backend", "dbo", {}}, &clock_, &links_) {}
 
+  virtual TpcwConfig Config() const { return SmallConfig(); }
+
   void SetUp() override {
-    config_ = SmallConfig();
+    config_ = Config();
     ASSERT_TRUE(CreateSchema(&backend_).ok());
     ASSERT_TRUE(GenerateData(&backend_, config_).ok());
     ASSERT_TRUE(CreateProcedures(&backend_, config_).ok());
@@ -287,6 +289,69 @@ TEST_F(TpcwCacheTest, CacheResultsMatchBackendResults) {
       EXPECT_EQ(local->rows[i][0].AsInt(), remote->rows[i][0].AsInt());
     }
   }
+}
+
+// BestSellers' window is the TOP n most recent orders. GETDATE() has
+// whole-second resolution, so many orders share an o_date and the cut can
+// fall inside a tie group; heap order must not decide it, because the cache
+// applies transactions in commit order and the backend stores them in insert
+// order. A one-order window puts the cut between two tied orders.
+class TpcwWindowTieTest : public TpcwCacheTest {
+ protected:
+  TpcwConfig Config() const override {
+    TpcwConfig config = SmallConfig();
+    config.best_seller_window = 1;
+    return config;
+  }
+};
+
+TEST_F(TpcwWindowTieTest, BestSellersAgreeOnBothTiersWhenTheCutTies) {
+  auto items = backend_.Execute(
+      "SELECT TOP 2 i_id FROM item WHERE i_subject = 'arts' ORDER BY i_id");
+  ASSERT_TRUE(items.ok());
+  ASSERT_EQ(items->rows.size(), 2u);
+  const int64_t first_item = items->rows[0][0].AsInt();
+  const int64_t second_item = items->rows[1][0].AsInt();
+  const std::string date =
+      std::to_string(static_cast<int64_t>(clock_.Now()) + 1000);
+  const std::string x = std::to_string(config_.num_orders + 1);
+  const std::string y = std::to_string(config_.num_orders + 2);
+  auto order = [&](const std::string& id, int64_t item) {
+    return "INSERT INTO orders VALUES (" + id + ", 1, " + date +
+           ", 10.0, 10.0, 'PENDING', 1); INSERT INTO order_line VALUES (" +
+           id + ", " + std::to_string(item) + ", 5, 0.0); ";
+  };
+  // Order x is inserted first but commits last: the backend's heap holds
+  // x before y, the cache's holds y before x.
+  Session a;
+  Session b;
+  ASSERT_TRUE(backend_
+                  .ExecuteOnSession(&a, "BEGIN TRANSACTION; " +
+                                            order(x, first_item),
+                                    nullptr)
+                  .ok());
+  ASSERT_TRUE(backend_
+                  .ExecuteOnSession(&b, "BEGIN TRANSACTION; " +
+                                            order(y, second_item) + "COMMIT",
+                                    nullptr)
+                  .ok());
+  ASSERT_TRUE(backend_.ExecuteOnSession(&a, "COMMIT", nullptr).ok());
+  ASSERT_TRUE(repl_.RunOnce(nullptr, nullptr).ok());
+  auto cached =
+      cache_.Execute("SELECT COUNT(*) FROM orders_cache WHERE o_id >= " + x);
+  ASSERT_TRUE(cached.ok());
+  ASSERT_EQ(cached->rows[0][0].AsInt(), 2);
+
+  auto on_backend = backend_.CallProcedure(
+      "getbestsellers", {Value::String("arts")}, nullptr);
+  auto on_cache = cache_.CallProcedure(
+      "getbestsellers", {Value::String("arts")}, nullptr);
+  ASSERT_TRUE(on_backend.ok() && on_cache.ok());
+  ASSERT_EQ(on_backend->rows.size(), 1u);
+  ASSERT_EQ(on_cache->rows.size(), 1u);
+  // The most recent order is the one with the larger o_id.
+  EXPECT_EQ(on_backend->rows[0][0].AsInt(), second_item);
+  EXPECT_EQ(on_cache->rows[0][0].AsInt(), second_item);
 }
 
 TEST_F(TpcwCacheTest, UpdatesFlowThroughCacheToBackendAndBack) {
